@@ -7,7 +7,6 @@ switches detector thresholds at runtime, marker surveying utilities and an
 end-to-end trial evaluation harness, all validated against a built-in
 synthetic gait oracle.
 """
-from ._accel import DISABLE_FLAG, NUMBA_ENABLED
 from .core import (
     GRAVITY,
     ImuSample,
@@ -82,7 +81,6 @@ from .survey import (
     umeyama_align,
 )
 from .svm import (
-    FeatureWindow,
     LabelStream,
     NormStats,
     SvmModel,
@@ -91,7 +89,6 @@ from .svm import (
     classify_stream,
     confusion_matrix,
     load_model,
-    predict,
     predict_batch,
     save_model,
     smooth,

@@ -3,10 +3,9 @@
 The six command groups (zv, classify, sim, survey, ins, eval) live under one
 ``zvnav`` entry point, e.g. ``zvnav zv detect ...`` or ``zvnav eval trial ...``.
 Shared EKF/detector defaults can come from a ``key = value`` config file
-(--config); any flag given explicitly overrides the config value.
-
-Config keys: window, sigma_a, sigma_w, gamma, gravity, sigma_accel,
-sigma_gyro, sigma_zupt, init_pos_std, init_vel_std, init_att_std, rate_hz.
+(--config; the accepted keys are ``io.CONFIG_KEYS``); any flag given
+explicitly overrides the config value. Bad input files, config files or
+models end a command with a one-line error rather than a traceback.
 """
 from __future__ import annotations
 
@@ -37,6 +36,7 @@ from .survey import build_map, frame_to_frame, tag_template
 from .svm import (
     NormStats,
     build_windows,
+    classify_motion,
     classify_stream,
     load_model,
     predict_batch,
@@ -75,7 +75,17 @@ def _ekf_config(cfg: dict) -> EkfConfig:
     )
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports the library's ValueErrors (bad input data) as one-line CLI errors."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 def main():
     """Adaptive zero-velocity-aided inertial navigation toolkit."""
 
@@ -374,8 +384,7 @@ def ins_run(imu, gamma, adaptive, model_path, gamma_walk, gamma_run,
         if model_path is None or gamma_walk is None or gamma_run is None:
             raise click.UsageError("--adaptive needs --model, --gamma-walk and --gamma-run")
         model = load_model(model_path)
-        labels = classify_stream(model, stream, smooth_window)
-        binary = (labels.smoothed == model.classes[1]).astype(np.int64)
+        _, binary = classify_motion(model, stream, smooth_window)
         flags = detect_adaptive(stream, binary, detector,
                                 AdaptiveParams(gamma_walk, gamma_run))
     else:

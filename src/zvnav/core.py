@@ -18,7 +18,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._accel import accelerated
 
 GRAVITY = 9.80665
 
@@ -40,13 +39,11 @@ class StepTooLargeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@accelerated
 def _quat_normalize(q):
     n = np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
     return q / n
 
 
-@accelerated
 def _quat_mul(a, b):
     out = np.empty(4)
     out[0] = a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
@@ -56,7 +53,6 @@ def _quat_mul(a, b):
     return out
 
 
-@accelerated
 def _quat_from_rotvec(phi):
     angle = np.sqrt(phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2])
     out = np.empty(4)
@@ -76,7 +72,6 @@ def _quat_from_rotvec(phi):
     return _quat_normalize(out)
 
 
-@accelerated
 def _rotmat_from_quat(q):
     w, x, y, z = q[0], q[1], q[2], q[3]
     out = np.empty((3, 3))
@@ -92,7 +87,6 @@ def _rotmat_from_quat(q):
     return out
 
 
-@accelerated
 def _skew(v):
     out = np.zeros((3, 3))
     out[0, 1] = -v[2]

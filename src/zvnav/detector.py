@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import GRAVITY, ImuSample, ImuStream
+from .core import GRAVITY, ImuStream
 
 DEFAULT_WINDOW = 5
 DEFAULT_SIGMA_A = 0.01
@@ -91,25 +91,16 @@ def _window_statistics(accel_w: np.ndarray, gyro_w: np.ndarray,
     return stats
 
 
-def shoe_statistic(window, params: DetectorParams) -> float:
-    """Statistic of one W-sample window (an ImuStream or sample sequence).
+def shoe_statistic(window: ImuStream, params: DetectorParams) -> float:
+    """Statistic of one W-sample window.
 
     Returns +inf for the degenerate window whose mean specific force is zero
     (the gravity direction is undefined there, and free fall is never
     midstance).
     """
-    if isinstance(window, ImuStream):
-        accel, gyro = window.accel, window.gyro
-    else:
-        samples = list(window)
-        if samples and isinstance(samples[0], ImuSample):
-            accel = np.array([s.accel for s in samples])
-            gyro = np.array([s.gyro for s in samples])
-        else:
-            raise TypeError("window must be an ImuStream or a sequence of ImuSample")
-    if accel.shape[0] != params.W:
+    if len(window) != params.W:
         raise ValueError(f"window must hold exactly W={params.W} samples")
-    return float(_window_statistics(accel[None, :, :], gyro[None, :, :], params)[0])
+    return float(_window_statistics(window.accel[None], window.gyro[None], params)[0])
 
 
 def shoe_statistics(stream: ImuStream, params: DetectorParams) -> np.ndarray:

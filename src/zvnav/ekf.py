@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import accelerated
 from .core import (
     ImuSample,
     ImuStream,
@@ -131,9 +130,7 @@ class EkfConfig:
 # ---------------------------------------------------------------------------
 
 
-@accelerated
 def _propagate_arrays(p, v, q, P, accel, gyro, dt, g, sig_a, sig_g):
-    accel = np.ascontiguousarray(accel)
     R = _rotmat_from_quat(q)
     f_nav = R @ accel
     p_new = p + v * dt
@@ -158,14 +155,12 @@ def _propagate_arrays(p, v, q, P, accel, gyro, dt, g, sig_a, sig_g):
     return p_new, v_new, q_new, P_new
 
 
-@accelerated
 def _zupt_arrays(p, v, q, P, sigma_zupt):
     r = sigma_zupt * sigma_zupt
     S = P[3:6, 3:6].copy()
     for i in range(3):
         S[i, i] += r
-    S_inv = np.ascontiguousarray(np.linalg.inv(S))
-    K = np.ascontiguousarray(P[:, 3:6]) @ S_inv
+    K = P[:, 3:6] @ np.linalg.inv(S)
     dx = K @ (-v)
 
     p_new = p + dx[0:3]
@@ -179,7 +174,6 @@ def _zupt_arrays(p, v, q, P, sigma_zupt):
     return p_new, v_new, q_new, P_new
 
 
-@accelerated
 def _ins_loop(t, accel, gyro, zv, p0, v0, q0, P0, g, sig_a, sig_g, sig_z):
     n = t.shape[0]
     out_p = np.empty((n, 3))

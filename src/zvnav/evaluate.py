@@ -25,7 +25,7 @@ from .detector import AdaptiveParams, DetectorParams, detect, detect_adaptive
 from .ekf import EkfConfig, Trajectory, run_ins
 from .simulate import GaitTruth
 from .survey import MarkerMap
-from .svm import SvmModel, classify_stream
+from .svm import SvmModel, classify_motion
 
 METHOD_WALK = "gamma_walk"
 METHOD_RUN = "gamma_run"
@@ -157,14 +157,11 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
     """Classify, detect with three thresholding methods, run the INS, score.
 
     ``class_truth`` (per-sample class ids, optional) is compared against the
-    smoothed classifier output for the reported SVM accuracy. The binary
-    model's second class is treated as the faster motion when switching
-    thresholds.
+    smoothed classifier output for the reported SVM accuracy. The model must
+    be binary; its second class is treated as the faster motion when
+    switching thresholds.
     """
-    if len(model.classes) != 2:
-        raise ValueError("adaptive trials need a binary (two-class) model")
-    labels = classify_stream(model, stream, smooth_window, smooth_threshold)
-    binary = (labels.smoothed == model.classes[1]).astype(np.int64)
+    labels, binary = classify_motion(model, stream, smooth_window, smooth_threshold)
 
     zv_by_method = {
         METHOD_WALK: detect(stream, replace(detector, gamma=gammas.gamma_walk)),

@@ -37,12 +37,35 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def _read_csv(path, header: str) -> np.ndarray:
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0].strip() != header:
+    """Numeric body of a CSV file; a malformed line fails naming its 1-based number."""
+    text = Path(path).read_text()
+    lines = text.strip().splitlines()
+    if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}: expected header '{header}'")
-    if len(text) == 1:
-        return np.empty((0, len(header.split(","))))
-    return np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    width = len(header.split(","))
+    if len(lines) == 1:
+        return np.empty((0, width))
+    try:
+        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        if data.shape[1:] == (width,):
+            return data
+    except ValueError:
+        pass
+    header_line = 1 + text[:len(text) - len(text.lstrip())].count("\n")
+    raise ValueError(_malformed_line(path, lines[1:], width, header_line + 1))
+
+
+def _malformed_line(path, lines, width: int, first_lineno: int) -> str:
+    for lineno, line in enumerate(lines, start=first_lineno):
+        fields = line.split(",")
+        if len(fields) != width:
+            return f"{path}, line {lineno}: expected {width} fields, found {len(fields)}"
+        for v in fields:
+            try:
+                float(v)
+            except ValueError:
+                return f"{path}, line {lineno}: cannot read {v.strip()!r} as a number"
+    return f"{path}: malformed CSV body"
 
 
 # --- IMU / mocap logs -------------------------------------------------------
@@ -211,15 +234,32 @@ def write_survey_json(path, stations) -> None:
 # --- key-value config ---------------------------------------------------------
 
 
+CONFIG_KEYS = (
+    "window", "sigma_a", "sigma_w", "gamma", "gravity", "sigma_accel", "sigma_gyro",
+    "sigma_zupt", "init_pos_std", "init_vel_std", "init_att_std", "rate_hz",
+)
+
+
 def load_config(path) -> dict[str, float]:
-    """Parse a ``key = value`` text config; '#' starts a comment."""
+    """Parse a ``key = value`` text config; '#' starts a comment.
+
+    Every key must be one of ``CONFIG_KEYS``, so a misspelt key fails
+    instead of silently leaving its default in place.
+    """
     out: dict[str, float] = {}
-    for raw_line in Path(path).read_text().splitlines():
+    for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}, line {lineno}"
         if "=" not in line:
-            raise ValueError(f"config line without '=': {raw_line!r}")
+            raise ValueError(f"{where}: config line without '=': {raw_line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = float(value)
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{where}: unknown config key {key!r} "
+                             f"(known keys: {', '.join(CONFIG_KEYS)})")
+        try:
+            out[key] = float(value)
+        except ValueError:
+            raise ValueError(f"{where}: cannot read {value!r} as a number") from None
     return out

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._accel import accelerated
 from .core import ImuStream
 
 DEFAULT_WINDOW_LEN = 125
@@ -65,22 +64,6 @@ class NormStats:
         return cls(data.mean(axis=0), data.std(axis=0))
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureWindow:
-    """One flattened window of 6*K normalized channel values."""
-
-    values: np.ndarray
-    window_len: int = DEFAULT_WINDOW_LEN
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] != 6 * self.window_len:
-            raise ValueError("values must be a flat vector of length 6*K")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("feature values must be finite")
-        object.__setattr__(self, "values", v)
-
-
 def build_windows(stream: ImuStream, window_len: int = DEFAULT_WINDOW_LEN,
                   stride: int = 1, norm: NormStats | None = None) -> np.ndarray:
     """Stack feature windows at offsets 0, stride, 2*stride, ...
@@ -118,7 +101,6 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, kernel_width: float) -> np.ndarray:
     return np.exp(-kernel_width * sq)
 
 
-@accelerated
 def _smo(K, y, C, tol, max_iter):
     """Maximal-violating-pair SMO on a precomputed kernel matrix.
 
@@ -267,13 +249,13 @@ def train(windows: np.ndarray, labels, kernel_width: float | None = None,
     pairs = []
     for a, b in combinations(classes, 2):
         mask = (y_all == a) | (y_all == b)
-        Xp = np.ascontiguousarray(X[mask])
+        Xp = X[mask]
         yp = np.where(y_all[mask] == a, 1.0, -1.0)
         if np.all(Xp == Xp[0]):
             raise TrainingFailedError(
                 f"classes {a}/{b}: all training vectors identical across labels"
             )
-        Kmat = np.ascontiguousarray(rbf_kernel(Xp, Xp, kernel_width))
+        Kmat = rbf_kernel(Xp, Xp, kernel_width)
         alpha, bias, resid, _ = _smo(Kmat, yp, float(c_reg), float(tol), max_iter)
         if resid > tol:
             raise TrainingFailedError(
@@ -329,12 +311,6 @@ def predict_batch(model: SvmModel, windows: np.ndarray) -> np.ndarray:
         else:
             out[r] = min(tied)
     return out
-
-
-def predict(model: SvmModel, window) -> int:
-    """Label for one window (a FeatureWindow or flat array)."""
-    values = window.values if isinstance(window, FeatureWindow) else window
-    return int(predict_batch(model, np.atleast_2d(values))[0])
 
 
 def kkt_residuals(model: SvmModel) -> dict[tuple[int, int], float]:
@@ -427,6 +403,23 @@ def classify_stream(model: SvmModel, stream: ImuStream,
         sm = smooth(binary, smooth_window, smooth_threshold)
         smoothed = np.asarray(model.classes, dtype=np.int64)[sm]
     return LabelStream(stream.t.copy(), raw, smoothed)
+
+
+def classify_motion(model: SvmModel, stream: ImuStream,
+                    smooth_window: int = DEFAULT_SMOOTH_WINDOW,
+                    smooth_threshold: float = DEFAULT_SMOOTH_THRESHOLD
+                    ) -> tuple[LabelStream, np.ndarray]:
+    """Labels for a stream plus the per-sample walk/run switch for the detector.
+
+    The switch is 1 where the smoothed label is the binary model's second
+    class, treated as the faster motion, and 0 elsewhere. Models with more
+    than two classes have no smoothed labels and are rejected.
+    """
+    if len(model.classes) != 2:
+        raise ValueError("adaptive thresholding needs a binary (two-class) model; "
+                         f"this one has {len(model.classes)} classes")
+    labels = classify_stream(model, stream, smooth_window, smooth_threshold)
+    return labels, (labels.smoothed == model.classes[1]).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,16 @@ def run_cli(args):
     return result
 
 
+def cli_error(args) -> str:
+    """Run a command that must fail with a one-line error; return that line."""
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    return lines[0]
+
+
 def rerun_identical(args, outputs):
     """Run a command twice and require byte-identical output files."""
     first = {}
@@ -106,6 +116,23 @@ class TestZv:
                  "--config", str(cfg), "--gamma", "340000", "--out", str(out_hi)])
         n_hi = sum(l.split(",")[1] == "1" for l in out_hi.read_text().splitlines()[1:])
         assert n_hi > 0  # flag overrides config
+
+    def test_detect_rejects_unknown_config_key(self, workdir, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("window = 5\nsigma_zup = 5\n")
+        line = cli_error(["zv", "detect", "--imu", str(workdir / "walk.csv"),
+                          "--config", str(cfg), "--out", str(tmp_path / "flags.csv")])
+        assert str(cfg) in line and "line 2" in line and "'sigma_zup'" in line
+        assert not (tmp_path / "flags.csv").exists()
+
+    def test_detect_reports_malformed_csv_line(self, workdir, tmp_path):
+        imu = tmp_path / "imu.csv"
+        lines = (workdir / "walk.csv").read_text().splitlines()
+        lines[3] = lines[3].replace(lines[3].split(",")[2], "0.0x16")
+        imu.write_text("\n".join(lines) + "\n")
+        line = cli_error(["zv", "detect", "--imu", str(imu), "--gamma", "340000",
+                          "--out", str(tmp_path / "flags.csv")])
+        assert str(imu) in line and "line 4" in line and "'0.0x16'" in line
 
     def test_optimize_prints_gamma_and_writes_curve(self, workdir, tmp_path):
         curve = tmp_path / "curve.csv"
@@ -206,6 +233,16 @@ class TestInsRun:
         result = runner.invoke(main, ["ins", "run", "--imu", str(workdir / "walk.csv"),
                                       "--adaptive", "--out", str(tmp_path / "t.csv")])
         assert result.exit_code != 0
+
+    def test_adaptive_rejects_multiclass_model(self, workdir, tmp_path):
+        rng = np.random.default_rng(4)
+        x = np.vstack([rng.normal(c, 0.3, (10, 30)) for c in (-1.0, 0.0, 1.0)])
+        model = tmp_path / "three.json"
+        zvnav.save_model(zvnav.train(x, np.repeat([0, 1, 2], 10)), model)
+        line = cli_error(["ins", "run", "--imu", str(workdir / "mixed.csv"), "--adaptive",
+                          "--model", str(model), "--gamma-walk", "340000",
+                          "--gamma-run", "6900000", "--out", str(tmp_path / "t.csv")])
+        assert "binary" in line and "3 classes" in line
 
     def test_adaptive_runs(self, workdir, tmp_path):
         out = tmp_path / "traj.csv"

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import zvnav
 from zvnav import io as zio
@@ -29,12 +35,51 @@ class TestImuCsv:
         with pytest.raises(ValueError, match="header"):
             zio.read_imu_csv(path)
 
+    def test_malformed_cell_names_file_and_line(self, tmp_path):
+        path = tmp_path / "imu.csv"
+        path.write_text("t,ax,ay,az,wx,wy,wz\n0,0,0,9.8,0,0,0\n0.008,0,0.0x16,9.8,0,0,0\n")
+        with pytest.raises(ValueError, match=r"imu\.csv, line 3: cannot read '0\.0x16'"):
+            zio.read_imu_csv(path)
+
+    def test_short_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "imu.csv"
+        path.write_text("t,ax,ay,az,wx,wy,wz\n0,0,0,9.8,0,0,0\n0.008,0,0,9.8,0,0\n")
+        with pytest.raises(ValueError, match=r"imu\.csv, line 3: expected 7 fields, found 6"):
+            zio.read_imu_csv(path)
+
     def test_write_is_deterministic(self, tmp_path, short_trial):
         stream, _ = short_trial
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         zio.write_imu_csv(a, stream)
         zio.write_imu_csv(b, stream)
         assert a.read_bytes() == b.read_bytes()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def imu_streams(draw):
+    """Valid streams: strictly increasing t, jitter under 10% of the nominal period."""
+    n = draw(st.integers(1, 40))
+    rate = draw(st.floats(10.0, 1000.0))
+    jitter = draw(arrays(np.float64, n - 1, elements=st.floats(-0.09, 0.09)))
+    t0 = draw(st.floats(-1e3, 1e3))
+    t = t0 + np.concatenate([[0.0], np.cumsum((1.0 + jitter) / rate)])
+    accel = draw(arrays(np.float64, (n, 3), elements=finite))
+    gyro = draw(arrays(np.float64, (n, 3), elements=finite))
+    return zvnav.ImuStream(t, accel, gyro, rate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(imu_streams())
+def test_imu_csv_round_trip_is_bit_identical(stream):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "imu.csv"
+        zio.write_imu_csv(path, stream)
+        back = zio.read_imu_csv(path, rate_hz=stream.rate_hz)
+    for name in ("t", "accel", "gyro"):
+        assert getattr(back, name).tobytes() == getattr(stream, name).tobytes()
 
 
 class TestOtherCsv:
@@ -131,6 +176,18 @@ class TestConfig:
         )
         cfg = zio.load_config(path)
         assert cfg == {"window": 7.0, "sigma_a": 0.02, "sigma_zupt": 0.005}
+
+    def test_rejects_unknown_key(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("window = 7\nsigma_zup = 5\n")
+        with pytest.raises(ValueError, match=r"cfg\.txt, line 2: unknown config key 'sigma_zup'"):
+            zio.load_config(path)
+
+    def test_accepts_every_documented_key(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("".join(f"{key} = 1\n" for key in zio.CONFIG_KEYS))
+        assert zio.load_config(path) == dict.fromkeys(zio.CONFIG_KEYS, 1.0)
+        assert len(zio.CONFIG_KEYS) == 12
 
     def test_rejects_malformed_lines(self, tmp_path):
         path = tmp_path / "cfg.txt"

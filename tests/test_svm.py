@@ -4,7 +4,6 @@ import pytest
 import zvnav
 from zvnav.core import ImuStream
 from zvnav.svm import (
-    FeatureWindow,
     NormStats,
     TrainingFailedError,
     build_windows,
@@ -13,7 +12,6 @@ from zvnav.svm import (
     load_model,
     model_from_dict,
     model_to_dict,
-    predict,
     predict_batch,
     save_model,
     smooth,
@@ -129,8 +127,8 @@ class TestPredict:
         model = train(X, y, kernel_width=0.5)
         sv = model.pairs[0].support_vectors[0]
         deep = lift([[2.0, 0.0]])[0]
-        assert predict(model, deep) == 3
-        assert predict(model, sv) in (3, 5)
+        assert predict_batch(model, deep[None])[0] == 3
+        assert predict_batch(model, sv[None])[0] in (3, 5)
 
     def test_boundary_tie_goes_to_smaller_label(self):
         # symmetric two-point problem: the midpoint has decision value 0
@@ -140,7 +138,7 @@ class TestPredict:
         mid = lift([[0.0, 0.0]])[0]
         f = model.pairs[0].decision(mid[None, :], model.kernel_width)[0]
         assert abs(f) < 1e-9
-        assert predict(model, mid) == 0
+        assert predict_batch(model, mid[None])[0] == 0
 
     def test_prediction_invariant_to_support_vector_permutation(self, binary_model):
         rng = np.random.default_rng(2)
@@ -155,13 +153,7 @@ class TestPredict:
 
     def test_dimension_mismatch(self, binary_model):
         with pytest.raises(ValueError):
-            predict(binary_model, np.zeros(10))
-
-    def test_feature_window_type(self):
-        fw = FeatureWindow(np.zeros(750), 125)
-        assert fw.values.shape == (750,)
-        with pytest.raises(ValueError):
-            FeatureWindow(np.zeros(10), 125)
+            predict_batch(binary_model, np.zeros(10)[None])[0]
 
     def test_held_out_accuracy_and_balance(self, six_class_model):
         model = six_class_model["model"]
