@@ -9,7 +9,6 @@ synthetic gait oracle.
 """
 from .core import (
     GRAVITY,
-    ImuSample,
     ImuStream,
     Quaternion,
     Se3Transform,
@@ -31,13 +30,9 @@ from .detector import (
 )
 from .ekf import (
     EkfConfig,
-    ErrorCovariance,
-    NavState,
     Trajectory,
     level_from_accel,
-    propagate,
     run_ins,
-    zupt_update,
 )
 from .evaluate import (
     TrialReport,

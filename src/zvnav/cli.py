@@ -426,6 +426,9 @@ def eval_trial(imu, model_path, gammas, triggers, markers, truth_path, config, r
     stream = zio.read_imu_csv(imu, rate_hz=cfg.get("rate_hz"))
     model = load_model(model_path)
     gamma_data = json.loads(Path(gammas).read_text())
+    for key in ("gamma_walk", "gamma_run"):
+        if key not in gamma_data:
+            raise click.ClickException(f"{gammas}: missing key '{key}'")
     adaptive = AdaptiveParams(float(gamma_data["gamma_walk"]), float(gamma_data["gamma_run"]))
     trigger_log = zio.read_trigger_csv(triggers)
     marker_map = zio.read_marker_map_json(markers)

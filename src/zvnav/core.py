@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -239,28 +238,6 @@ def se3_compose(a: Se3Transform, b: Se3Transform) -> Se3Transform:
 
 
 @dataclass(frozen=True, eq=False)
-class ImuSample:
-    """One timestamped 6-axis inertial reading, body frame.
-
-    ``accel`` is specific force in m/s^2, ``gyro`` angular rate in rad/s.
-    """
-
-    t: float
-    accel: np.ndarray
-    gyro: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.accel, dtype=np.float64)
-        w = np.asarray(self.gyro, dtype=np.float64)
-        if a.shape != (3,) or w.shape != (3,):
-            raise ValueError("accel and gyro must be 3-vectors")
-        if not (math.isfinite(self.t) and np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
-            raise ValueError("sample values must be finite")
-        object.__setattr__(self, "accel", a)
-        object.__setattr__(self, "gyro", w)
-
-
-@dataclass(frozen=True, eq=False)
 class ImuStream:
     """Ordered 6-axis IMU samples at a nominal fixed rate (125 Hz default).
 
@@ -311,24 +288,8 @@ class ImuStream:
 
     def __getitem__(self, key) -> "ImuStream":
         if not isinstance(key, slice):
-            raise TypeError("index streams with slices; use .sample(i) for one sample")
+            raise TypeError("index streams with slices; read one sample from .t, .accel and .gyro")
         return ImuStream(self.t[key], self.accel[key], self.gyro[key], self.rate_hz, self.jitter_tol)
-
-    def sample(self, i: int) -> ImuSample:
-        return ImuSample(float(self.t[i]), self.accel[i], self.gyro[i])
-
-    @property
-    def samples(self) -> Iterator[ImuSample]:
-        for i in range(len(self)):
-            yield self.sample(i)
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[ImuSample], rate_hz: float = 125.0,
-                     jitter_tol: float = 0.1) -> "ImuStream":
-        t = np.array([s.t for s in samples])
-        a = np.array([s.accel for s in samples])
-        w = np.array([s.gyro for s in samples])
-        return cls(t, a, w, rate_hz, jitter_tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,8 +16,9 @@ A zero-velocity update fuses the pseudo-measurement z = 0 of velocity with
 H = [0 I 0] and R = sigma_zupt^2 I, using the Joseph-form covariance update;
 the covariance is re-symmetrized after every step.
 
-Filter state is plain immutable values; ``run_ins`` is a pure function, so
-independent trials can run in parallel.
+The step kernels are ``propagate`` and ``zupt_update``: pure functions over
+plain arrays (p, v, q, P) that return new arrays. ``run_ins`` loops them over
+a stream and is itself pure, so independent trials can run in parallel.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ImuSample,
     ImuStream,
     Quaternion,
     _quat_from_rotvec,
@@ -39,54 +39,6 @@ from .core import (
     gravity_vector,
     GRAVITY,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class NavState:
-    """Nominal navigation state: position (m), velocity (m/s), attitude."""
-
-    p: np.ndarray
-    v: np.ndarray
-    q: Quaternion
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.float64)
-        if p.shape != (3,) or v.shape != (3,):
-            raise ValueError("p and v must be 3-vectors")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
-            raise ValueError("state must be finite")
-        if abs(self.q.norm - 1.0) > 1e-6:
-            raise ValueError("quaternion must be unit norm")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "v", v)
-
-    @classmethod
-    def at_rest(cls, p=(0.0, 0.0, 0.0), q: Quaternion | None = None) -> "NavState":
-        return cls(np.asarray(p, dtype=np.float64), np.zeros(3), q or Quaternion.identity())
-
-
-@dataclass(frozen=True, eq=False)
-class ErrorCovariance:
-    """9x9 covariance over the error state [dp, dv, dtheta]."""
-
-    P: np.ndarray
-
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=np.float64)
-        if P.shape != (9, 9):
-            raise ValueError("P must be 9x9")
-        if not np.all(np.isfinite(P)):
-            raise ValueError("P must be finite")
-        if np.max(np.abs(P - P.T)) > 1e-9:
-            raise ValueError("P must be symmetric within 1e-9")
-        object.__setattr__(self, "P", P)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.P)[0])
-
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.P - self.P.T)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +82,8 @@ class EkfConfig:
 # ---------------------------------------------------------------------------
 
 
-def _propagate_arrays(p, v, q, P, accel, gyro, dt, g, sig_a, sig_g):
+def propagate(p, v, q, P, accel, gyro, dt, g, sig_a, sig_g):
+    """Advance position, velocity, quaternion and covariance by one IMU sample."""
     R = _rotmat_from_quat(q)
     f_nav = R @ accel
     p_new = p + v * dt
@@ -155,7 +108,8 @@ def _propagate_arrays(p, v, q, P, accel, gyro, dt, g, sig_a, sig_g):
     return p_new, v_new, q_new, P_new
 
 
-def _zupt_arrays(p, v, q, P, sigma_zupt):
+def zupt_update(p, v, q, P, sigma_zupt):
+    """Fuse one zero-velocity pseudo-measurement and inject the correction."""
     r = sigma_zupt * sigma_zupt
     S = P[3:6, 3:6].copy()
     for i in range(3):
@@ -184,47 +138,19 @@ def _ins_loop(t, accel, gyro, zv, p0, v0, q0, P0, g, sig_a, sig_g, sig_z):
     q = q0.copy()
     P = P0.copy()
     if zv[0]:
-        p, v, q, P = _zupt_arrays(p, v, q, P, sig_z)
+        p, v, q, P = zupt_update(p, v, q, P, sig_z)
     out_p[0] = p
     out_v[0] = v
     out_q[0] = q
     for k in range(1, n):
         dt = t[k] - t[k - 1]
-        p, v, q, P = _propagate_arrays(p, v, q, P, accel[k], gyro[k], dt, g, sig_a, sig_g)
+        p, v, q, P = propagate(p, v, q, P, accel[k], gyro[k], dt, g, sig_a, sig_g)
         if zv[k]:
-            p, v, q, P = _zupt_arrays(p, v, q, P, sig_z)
+            p, v, q, P = zupt_update(p, v, q, P, sig_z)
         out_p[k] = p
         out_v[k] = v
         out_q[k] = q
     return out_p, out_v, out_q
-
-
-# ---------------------------------------------------------------------------
-# operations
-# ---------------------------------------------------------------------------
-
-
-def propagate(state: NavState, cov: ErrorCovariance, sample: ImuSample, dt: float,
-              cfg: EkfConfig) -> tuple[NavState, ErrorCovariance]:
-    """Advance the nominal state and covariance by one IMU sample."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if not (np.all(np.isfinite(sample.accel)) and np.all(np.isfinite(sample.gyro))):
-        raise ValueError("cannot propagate with a non-finite sample")
-    p, v, q, P = _propagate_arrays(
-        state.p, state.v, state.q.as_array(), cov.P,
-        sample.accel, sample.gyro, float(dt), cfg.g, cfg.sigma_accel, cfg.sigma_gyro,
-    )
-    return NavState(p, v, Quaternion.from_array(q)), ErrorCovariance(P)
-
-
-def zupt_update(state: NavState, cov: ErrorCovariance,
-                cfg: EkfConfig) -> tuple[NavState, ErrorCovariance]:
-    """Fuse a zero-velocity pseudo-measurement and inject the correction."""
-    p, v, q, P = _zupt_arrays(state.p, state.v, state.q.as_array(), cov.P, cfg.sigma_zupt)
-    if not np.all(np.isfinite(P)):
-        raise ArithmeticError("zero-velocity update produced a non-finite covariance")
-    return NavState(p, v, Quaternion.from_array(q)), ErrorCovariance(P)
 
 
 def level_from_accel(mean_accel) -> Quaternion:
@@ -268,9 +194,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    def state_at(self, i: int) -> NavState:
-        return NavState(self.pos[i], self.vel[i], Quaternion.from_array(self.quat[i]))
 
 
 def run_ins(stream: ImuStream, zv, cfg: EkfConfig | None = None) -> Trajectory:

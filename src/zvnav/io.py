@@ -86,7 +86,10 @@ def read_imu_csv(path, rate_hz: float | None = None, jitter_tol: float = 0.1) ->
     t = data[:, 0]
     if rate_hz is None:
         rate_hz = 1.0 / float(np.median(np.diff(t))) if t.shape[0] >= 2 else 125.0
-    return ImuStream(t, data[:, 1:4], data[:, 4:7], rate_hz, jitter_tol)
+    try:
+        return ImuStream(t, data[:, 1:4], data[:, 4:7], rate_hz, jitter_tol)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_mocap_csv(path, mocap: MocapStream) -> None:

@@ -473,4 +473,10 @@ def save_model(model: SvmModel, path) -> None:
 
 
 def load_model(path) -> SvmModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not an SVM model (expected a JSON object)")
+    try:
+        return model_from_dict(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: not an SVM model (missing field '{exc.args[0]}')") from None

@@ -134,6 +134,15 @@ class TestZv:
                           "--out", str(tmp_path / "flags.csv")])
         assert str(imu) in line and "line 4" in line and "'0.0x16'" in line
 
+    def test_detect_names_file_of_a_log_with_a_dropped_sample(self, workdir, tmp_path):
+        imu = tmp_path / "dropped.csv"
+        lines = (workdir / "mixed.csv").read_text().splitlines()
+        del lines[99]
+        imu.write_text("\n".join(lines) + "\n")
+        line = cli_error(["zv", "detect", "--imu", str(imu), "--gamma", "340000",
+                          "--out", str(tmp_path / "flags.csv")])
+        assert line == f"Error: {imu}: timestamp jitter exceeds tolerance (10% of the nominal period)"
+
     def test_optimize_prints_gamma_and_writes_curve(self, workdir, tmp_path):
         curve = tmp_path / "curve.csv"
         result = run_cli(["zv", "optimize", "--imu", str(workdir / "walk.csv"),
@@ -169,6 +178,12 @@ class TestClassify:
         assert lines[0] == "t,y_raw,y_smooth"
         smooth = np.array([int(l.split(",")[2]) for l in lines[1:]])
         assert np.mean(smooth == 0) > 0.95
+
+    def test_predict_rejects_a_json_that_is_not_a_model(self, workdir, tmp_path):
+        markers = workdir / "markers.json"
+        line = cli_error(["classify", "predict", "--imu", str(workdir / "walk.csv"),
+                          "--model", str(markers), "--out", str(tmp_path / "labels.csv")])
+        assert line == f"Error: {markers}: not an SVM model (missing field 'pairs')"
 
     def test_predict_deterministic(self, workdir, tmp_path):
         out = tmp_path / "labels.csv"
@@ -276,6 +291,15 @@ class TestEvalTrial:
         assert set(data["furthest_point_error_m"]) == {"gamma_walk", "gamma_run", "gamma_adapt"}
         assert data["svm_accuracy"] > 0.8
         assert data["path_length_m"] > 0
+
+    def test_gammas_missing_a_key(self, workdir, tmp_path):
+        gammas = tmp_path / "gammas.json"
+        gammas.write_text(json.dumps({"gamma_walk": 3.4e5}))
+        args = self.args(workdir, tmp_path / "report.json")
+        args[args.index("--gammas") + 1] = str(gammas)
+        line = cli_error(args)
+        assert line == f"Error: {gammas}: missing key 'gamma_run'"
+        assert not (tmp_path / "report.json").exists()
 
     def test_eval_deterministic(self, workdir, tmp_path):
         report = tmp_path / "report.json"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from zvnav.core import (
-    ImuSample,
     ImuStream,
     Quaternion,
     Se3Transform,
@@ -163,9 +162,6 @@ class TestStreams:
         s = self.make_stream(10)
         assert len(s) == 10
         assert s.dt == pytest.approx(0.008)
-        sample = s.sample(3)
-        assert isinstance(sample, ImuSample)
-        assert sample.t == pytest.approx(3 / 125)
 
     def test_slicing(self):
         s = self.make_stream(10)
@@ -191,12 +187,6 @@ class TestStreams:
         accel[1, 1] = np.nan
         with pytest.raises(ValueError):
             ImuStream(t, accel, np.zeros((3, 3)))
-
-    def test_from_samples_round_trip(self):
-        s = self.make_stream(5)
-        rebuilt = ImuStream.from_samples(list(s.samples), s.rate_hz)
-        assert np.array_equal(rebuilt.t, s.t)
-        assert np.array_equal(rebuilt.accel, s.accel)
 
     def test_label_stream_validation(self):
         with pytest.raises(ValueError):

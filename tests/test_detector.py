@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import zvnav
 from zvnav.core import GRAVITY, ImuStream
@@ -59,12 +62,15 @@ class TestShoeStatistic:
         w = stream_of([[0.0, 0.0, 0.0]] * 5, [[0.0, 0.0, 0.0]] * 5)
         assert shoe_statistic(w, DetectorParams()) == np.inf
 
-    def test_rotation_invariance(self):
-        rng = np.random.default_rng(1)
-        accel = rng.normal(0, 5, (5, 3)) + [0, 0, GRAVITY]
-        gyro = rng.normal(0, 1, (5, 3))
+    @settings(max_examples=100, deadline=None)
+    @given(accel=arrays(np.float64, (5, 3), elements=st.floats(-20.0, 20.0)),
+           gyro=arrays(np.float64, (5, 3), elements=st.floats(-10.0, 10.0)),
+           phi=arrays(np.float64, 3, elements=st.floats(-4.0, 4.0)))
+    def test_rotation_invariance(self, accel, gyro, phi):
+        accel = accel + [0, 0, GRAVITY]
+        # the gravity direction is the window-mean accel; keep it well defined
+        assume(np.linalg.norm(accel.mean(axis=0)) > 1.0)
         base = shoe_statistic(stream_of(accel, gyro), DetectorParams())
-        phi = rng.normal(size=3)
         R = zvnav.quat_to_rotation(zvnav.Quaternion.from_rotvec(phi))
         rotated = shoe_statistic(stream_of(accel @ R.T, gyro @ R.T), DetectorParams())
         assert rotated == pytest.approx(base, abs=1e-9 * max(base, 1.0))

@@ -2,42 +2,50 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import zvnav
-from zvnav.core import GRAVITY, ImuSample, ImuStream, Quaternion
-from zvnav.ekf import (
-    EkfConfig,
-    ErrorCovariance,
-    NavState,
-    level_from_accel,
-    propagate,
-    run_ins,
-    zupt_update,
-)
+from zvnav.core import GRAVITY, ImuStream, Quaternion
+from zvnav.ekf import EkfConfig, level_from_accel, propagate, run_ins, zupt_update
 
 G_UP = np.array([0.0, 0.0, GRAVITY])
+IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def rest_state():
-    return NavState.at_rest(), ErrorCovariance(EkfConfig().initial_covariance())
+def rest_state(cfg=EkfConfig()):
+    """(p, v, q, P) at rest at the origin, level, with the initial covariance."""
+    return np.zeros(3), np.zeros(3), IDENTITY_Q, cfg.initial_covariance()
 
 
-def sample(accel, gyro, t=0.0):
-    return ImuSample(t, np.asarray(accel, float), np.asarray(gyro, float))
+def step(state, accel, gyro, dt, cfg=EkfConfig()):
+    return propagate(*state, np.asarray(accel, float), np.asarray(gyro, float), dt,
+                     cfg.g, cfg.sigma_accel, cfg.sigma_gyro)
+
+
+def zupt(state, cfg=EkfConfig()):
+    return zupt_update(*state, cfg.sigma_zupt)
+
+
+def symmetry_defect(P):
+    return float(np.max(np.abs(P - P.T)))
+
+
+def min_eigenvalue(P):
+    return float(np.linalg.eigvalsh(P)[0])
 
 
 class TestPropagate:
     def test_gravity_cancellation_at_rest(self):
-        state, cov = rest_state()
-        out, _ = propagate(state, cov, sample(G_UP, [0, 0, 0]), 0.008, EkfConfig())
-        assert np.allclose(out.p, 0.0, atol=1e-15)
-        assert np.allclose(out.v, 0.0, atol=1e-12)
+        p, v, _, _ = step(rest_state(), G_UP, [0, 0, 0], 0.008)
+        assert np.allclose(p, 0.0, atol=1e-15)
+        assert np.allclose(v, 0.0, atol=1e-12)
 
     def test_free_fall_velocity_gain(self):
-        state, cov = rest_state()
-        out, _ = propagate(state, cov, sample([0, 0, 0], [0, 0, 0]), 0.008, EkfConfig())
-        assert np.allclose(out.v, [0.0, 0.0, -GRAVITY * 0.008], atol=1e-12)
-        assert out.v[2] == pytest.approx(-0.0784532, abs=1e-7)
+        _, v, _, _ = step(rest_state(), [0, 0, 0], [0, 0, 0], 0.008)
+        assert np.allclose(v, [0.0, 0.0, -GRAVITY * 0.008], atol=1e-12)
+        assert v[2] == pytest.approx(-0.0784532, abs=1e-7)
 
     def test_constant_accel_forward_euler_sum(self):
         # closed-form oracle for 125 steps of Eq-style integration:
@@ -47,69 +55,91 @@ class TestPropagate:
         a = 1.0
         v_expect = a * steps * dt
         p_expect = a * dt * dt * sum(k - 1 for k in range(1, steps + 1))
-        state, cov = rest_state()
-        meas = sample(np.array([a, 0.0, 0.0]) + G_UP, [0, 0, 0])
+        state = rest_state()
+        accel = np.array([a, 0.0, 0.0]) + G_UP
         for _ in range(steps):
-            state, cov = propagate(state, cov, meas, dt, EkfConfig())
-        assert state.v[0] == pytest.approx(v_expect, abs=1e-9)
-        assert state.p[0] == pytest.approx(p_expect, abs=1e-9)
+            state = step(state, accel, [0, 0, 0], dt)
+        p, v, _, _ = state
+        assert v[0] == pytest.approx(v_expect, abs=1e-9)
+        assert p[0] == pytest.approx(p_expect, abs=1e-9)
         assert p_expect == pytest.approx(0.496)
-
-    def test_invalid_dt(self):
-        state, cov = rest_state()
-        with pytest.raises(ValueError):
-            propagate(state, cov, sample(G_UP, [0, 0, 0]), 0.0, EkfConfig())
 
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(0)
-        state, cov = rest_state()
-        cfg = EkfConfig()
+        state = rest_state()
         for _ in range(200):
-            meas = sample(G_UP + rng.normal(0, 0.5, 3), rng.normal(0, 0.2, 3))
-            state, cov = propagate(state, cov, meas, 0.008, cfg)
-            assert cov.symmetry_defect() < 1e-9
-            assert cov.min_eigenvalue() > -1e-12
+            state = step(state, G_UP + rng.normal(0, 0.5, 3), rng.normal(0, 0.2, 3), 0.008)
+            P = state[3]
+            assert symmetry_defect(P) < 1e-9
+            assert min_eigenvalue(P) > -1e-12
 
 
 class TestZuptUpdate:
     def test_zero_velocity_prior_unchanged_state_reduced_covariance(self):
-        state, cov = rest_state()
-        out, cov2 = zupt_update(state, cov, EkfConfig())
-        assert np.allclose(out.v, 0.0, atol=1e-15)
-        assert np.allclose(out.p, 0.0, atol=1e-15)
-        assert np.trace(cov2.P[3:6, 3:6]) < np.trace(cov.P[3:6, 3:6])
+        state = rest_state()
+        p, v, _, P = zupt(state)
+        assert np.allclose(v, 0.0, atol=1e-15)
+        assert np.allclose(p, 0.0, atol=1e-15)
+        assert np.trace(P[3:6, 3:6]) < np.trace(state[3][3:6, 3:6])
 
     def test_large_prior_variance_pulls_velocity_to_zero(self):
         cfg = EkfConfig(sigma_zupt=1e-6, init_vel_std=1e3)
-        state = NavState(np.zeros(3), np.array([0.1, 0.0, 0.0]), Quaternion.identity())
-        out, _ = zupt_update(state, ErrorCovariance(cfg.initial_covariance()), cfg)
-        assert np.linalg.norm(out.v) < 1e-6
+        state = (np.zeros(3), np.array([0.1, 0.0, 0.0]), IDENTITY_Q, cfg.initial_covariance())
+        _, v, _, _ = zupt(state, cfg)
+        assert np.linalg.norm(v) < 1e-6
 
     def test_matched_variance_gives_half_gain(self):
         cfg = EkfConfig(sigma_zupt=0.02, init_vel_std=0.02)
-        state = NavState(np.zeros(3), np.array([0.1, 0.0, 0.0]), Quaternion.identity())
-        out, _ = zupt_update(state, ErrorCovariance(cfg.initial_covariance()), cfg)
-        assert np.allclose(out.v, [0.05, 0.0, 0.0], atol=1e-12)
+        state = (np.zeros(3), np.array([0.1, 0.0, 0.0]), IDENTITY_Q, cfg.initial_covariance())
+        _, v, _, _ = zupt(state, cfg)
+        assert np.allclose(v, [0.05, 0.0, 0.0], atol=1e-12)
 
     def test_yaw_untouched_when_cross_covariance_zero(self):
         # diagonal covariance: the velocity measurement cannot move yaw
         cfg = EkfConfig()
-        q = Quaternion.from_rotvec([0.0, 0.0, 0.7])
-        state = NavState(np.zeros(3), np.array([0.3, -0.2, 0.1]), q)
-        out, _ = zupt_update(state, ErrorCovariance(cfg.initial_covariance()), cfg)
+        q = Quaternion.from_rotvec([0.0, 0.0, 0.7]).as_array()
+        state = (np.zeros(3), np.array([0.3, -0.2, 0.1]), q, cfg.initial_covariance())
+        _, _, q_out, _ = zupt(state, cfg)
         def yaw_of(qq):
-            R = zvnav.quat_to_rotation(qq)
+            R = zvnav.quat_to_rotation(Quaternion.from_array(qq))
             return math.atan2(R[1, 0], R[0, 0])
-        assert yaw_of(out.q) == pytest.approx(yaw_of(state.q), abs=1e-12)
+        assert yaw_of(q_out) == pytest.approx(yaw_of(q), abs=1e-12)
 
     def test_joseph_form_keeps_symmetry(self):
         rng = np.random.default_rng(1)
         A = rng.normal(size=(9, 9))
-        cov = ErrorCovariance(A @ A.T * 1e-3 + np.eye(9) * 1e-6)
-        state = NavState(np.zeros(3), rng.normal(size=3), Quaternion.identity())
-        _, cov2 = zupt_update(state, cov, EkfConfig())
-        assert cov2.symmetry_defect() < 1e-9
-        assert cov2.min_eigenvalue() > -1e-12
+        P = A @ A.T * 1e-3 + np.eye(9) * 1e-6
+        state = (np.zeros(3), rng.normal(size=3), IDENTITY_Q, P)
+        _, _, _, P2 = zupt(state)
+        assert symmetry_defect(P2) < 1e-9
+        assert min_eigenvalue(P2) > -1e-12
+
+
+def vectors(bound, n=3):
+    return arrays(np.float64, n, elements=st.floats(-bound, bound))
+
+
+@st.composite
+def step_inputs(draw):
+    """A random SPD covariance, unit quaternion, finite state and IMU sample."""
+    A = draw(arrays(np.float64, (9, 9), elements=st.floats(-1.0, 1.0)))
+    P = draw(st.floats(1e-6, 1.0)) * (A @ A.T + 1e-6 * np.eye(9))
+    q = draw(vectors(1.0, 4).filter(lambda q: np.linalg.norm(q) > 1e-3))
+    state = (draw(vectors(1e3)), draw(vectors(10.0)), q / np.linalg.norm(q), P)
+    return state, draw(vectors(200.0)), draw(vectors(40.0)), draw(st.floats(1e-3, 2e-2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_inputs(), st.booleans())
+def test_step_keeps_covariance_spd_and_quaternion_unit(inputs, with_zupt):
+    state, accel, gyro, dt = inputs
+    state = step(state, accel, gyro, dt)
+    if with_zupt:
+        state = zupt(state)
+    _, _, q, P = state
+    assert symmetry_defect(P) < 1e-9
+    assert min_eigenvalue(P) > -1e-12
+    assert abs(np.linalg.norm(q) - 1.0) < 1e-9
 
 
 class TestLeveling:
@@ -186,5 +216,3 @@ class TestRunIns:
         stream, truth = zvnav.simulate(zvnav.gait_preset("walk", duration=2.0), zvnav.NoiseModel(seed=6))
         traj = run_ins(stream, truth.stance, EkfConfig())
         assert len(traj) == len(stream)
-        state = traj.state_at(10)
-        assert np.allclose(state.p, traj.pos[10])

@@ -47,6 +47,16 @@ class TestImuCsv:
         with pytest.raises(ValueError, match=r"imu\.csv, line 3: expected 7 fields, found 6"):
             zio.read_imu_csv(path)
 
+    def test_stream_validation_error_names_file(self, tmp_path, short_trial):
+        stream, _ = short_trial
+        path = tmp_path / "imu.csv"
+        zio.write_imu_csv(path, stream)
+        lines = path.read_text().splitlines()
+        del lines[99]  # one dropped sample
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"imu\.csv: timestamp jitter exceeds tolerance"):
+            zio.read_imu_csv(path)
+
     def test_write_is_deterministic(self, tmp_path, short_trial):
         stream, _ = short_trial
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

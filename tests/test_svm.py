@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,15 @@ class TestSerialization:
         assert np.array_equal(predict_batch(binary_model, x), predict_batch(loaded, x))
         assert loaded.classes == binary_model.classes
         assert loaded.window_len == binary_model.window_len
+
+    def test_load_rejects_json_that_is_not_a_model(self, tmp_path):
+        path = tmp_path / "markers.json"
+        path.write_text(json.dumps({"markers": [], "loop_closure_m": 0.0}))
+        with pytest.raises(ValueError, match=r"markers\.json: not an SVM model \(missing field 'pairs'\)"):
+            load_model(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match=r"markers\.json: not an SVM model"):
+            load_model(path)
 
     def test_schema_fields(self, binary_model):
         data = model_to_dict(binary_model)
