@@ -9,6 +9,10 @@ Conventions used throughout the package:
   ``g_vec = (0, 0, -9.80665)`` by default.
 - All types are immutable values and all operations are pure functions, so
   they are safe to share between threads.
+- The EKF step state is floats: the quaternion helpers below take any
+  sequence of floats (a numpy array included), use ``math`` and return
+  tuples of floats. Only ``_rotmat_from_quat`` returns an array, the operand
+  of the EKF's ``R @ accel`` product.
 """
 from __future__ import annotations
 
@@ -34,67 +38,43 @@ class StepTooLargeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# array-level kernels, shared by the EKF hot loop
+# float-level kernels, shared by the EKF hot loop
 # ---------------------------------------------------------------------------
 
 
 def _quat_normalize(q):
-    n = np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    return q / n
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return w / n, x / n, y / n, z / n
 
 
 def _quat_mul(a, b):
-    out = np.empty(4)
-    out[0] = a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
-    out[1] = a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2]
-    out[2] = a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1]
-    out[3] = a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0]
-    return out
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
 
 
 def _quat_from_rotvec(phi):
-    angle = np.sqrt(phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2])
-    out = np.empty(4)
+    x, y, z = phi
+    angle = math.sqrt(x * x + y * y + z * z)
     if angle < 1e-12:
         # first order; renormalized below
-        out[0] = 1.0
-        out[1] = 0.5 * phi[0]
-        out[2] = 0.5 * phi[1]
-        out[3] = 0.5 * phi[2]
-    else:
-        half = 0.5 * angle
-        s = np.sin(half) / angle
-        out[0] = np.cos(half)
-        out[1] = phi[0] * s
-        out[2] = phi[1] * s
-        out[3] = phi[2] * s
-    return _quat_normalize(out)
+        return _quat_normalize((1.0, 0.5 * x, 0.5 * y, 0.5 * z))
+    half = 0.5 * angle
+    s = math.sin(half) / angle
+    return _quat_normalize((math.cos(half), x * s, y * s, z * s))
 
 
-def _rotmat_from_quat(q):
-    w, x, y, z = q[0], q[1], q[2], q[3]
-    out = np.empty((3, 3))
-    out[0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    out[0, 1] = 2.0 * (x * y - w * z)
-    out[0, 2] = 2.0 * (x * z + w * y)
-    out[1, 0] = 2.0 * (x * y + w * z)
-    out[1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    out[1, 2] = 2.0 * (y * z - w * x)
-    out[2, 0] = 2.0 * (x * z - w * y)
-    out[2, 1] = 2.0 * (y * z + w * x)
-    out[2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    return out
-
-
-def _skew(v):
-    out = np.zeros((3, 3))
-    out[0, 1] = -v[2]
-    out[0, 2] = v[1]
-    out[1, 0] = v[2]
-    out[1, 2] = -v[0]
-    out[2, 0] = -v[1]
-    out[2, 1] = v[0]
-    return out
+def _rotmat_from_quat(q) -> np.ndarray:
+    w, x, y, z = q
+    return np.array([
+        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+        [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,15 @@ A zero-velocity update fuses the pseudo-measurement z = 0 of velocity with
 H = [0 I 0] and R = sigma_zupt^2 I, using the Joseph-form covariance update;
 the covariance is re-symmetrized after every step.
 
-The step kernels are ``propagate`` and ``zupt_update``: pure functions over
-plain arrays (p, v, q, P) that return new arrays. ``run_ins`` loops them over
-a stream and is itself pure, so independent trials can run in parallel.
+The step kernels are ``propagate`` and ``zupt_update``: pure functions that
+take p, v and q as float tuples (or arrays) and the 9x9 covariance P as an
+array, and return new ones, with p, v and q as tuples of Python floats.
+Scalar arithmetic stays on Python floats; numpy runs only the matrix
+products R @ accel, F @ P @ F.T, P[:, 3:6] @ inv(S), K @ (-v),
+IKH @ P @ IKH.T and K @ K.T. Those stay BLAS products, because a
+hand-written sum rounds differently in the last bits. ``run_ins`` loops the
+kernels over a stream and is itself pure, so independent trials can run in
+parallel.
 """
 from __future__ import annotations
 
@@ -35,7 +41,6 @@ from .core import (
     _quat_mul,
     _quat_normalize,
     _rotmat_from_quat,
-    _skew,
     gravity_vector,
     GRAVITY,
 )
@@ -82,28 +87,38 @@ class EkfConfig:
 # ---------------------------------------------------------------------------
 
 
+_EYE9 = np.eye(9)
+
+
 def propagate(p, v, q, P, accel, gyro, dt, g, sig_a, sig_g):
     """Advance position, velocity, quaternion and covariance by one IMU sample."""
-    R = _rotmat_from_quat(q)
-    f_nav = R @ accel
-    p_new = p + v * dt
-    v_new = v + (f_nav + g) * dt
-    q_new = _quat_normalize(_quat_mul(q, _quat_from_rotvec(gyro * dt)))
+    p0, p1, p2 = p
+    v0, v1, v2 = v
+    g0, g1, g2 = g
+    f0, f1, f2 = (_rotmat_from_quat(q) @ accel).tolist()
+    p_new = (p0 + v0 * dt, p1 + v1 * dt, p2 + v2 * dt)
+    v_new = (v0 + (f0 + g0) * dt, v1 + (f1 + g1) * dt, v2 + (f2 + g2) * dt)
+    w0, w1, w2 = gyro
+    q_new = _quat_normalize(_quat_mul(q, _quat_from_rotvec((w0 * dt, w1 * dt, w2 * dt))))
 
-    F = np.eye(9)
-    for i in range(3):
-        F[i, 3 + i] = dt
-    S = _skew(f_nav)
-    for i in range(3):
-        for j in range(3):
-            F[3 + i, 6 + j] = -S[i, j] * dt
+    # F = I + [[0, I dt, 0], [0, 0, -[f_nav]x dt], [0, 0, 0]]; the zero
+    # diagonal of -[f_nav]x dt is -0.0 * dt, as the product of the skew matrix
+    F = _EYE9.copy()
+    F[0, 3] = F[1, 4] = F[2, 5] = dt
+    z = -0.0 * dt
+    F[3:6, 6:9] = ((z, f2 * dt, -f1 * dt),
+                   (-f2 * dt, z, f0 * dt),
+                   (f1 * dt, -f0 * dt, z))
 
     P_new = F @ P @ F.T
     qa = (sig_a * dt) ** 2
     qg = (sig_g * dt) ** 2
-    for i in range(3):
-        P_new[3 + i, 3 + i] += qa
-        P_new[6 + i, 6 + i] += qg
+    P_new[3, 3] += qa
+    P_new[4, 4] += qa
+    P_new[5, 5] += qa
+    P_new[6, 6] += qg
+    P_new[7, 7] += qg
+    P_new[8, 8] += qg
     P_new = 0.5 * (P_new + P_new.T)
     return p_new, v_new, q_new, P_new
 
@@ -112,16 +127,19 @@ def zupt_update(p, v, q, P, sigma_zupt):
     """Fuse one zero-velocity pseudo-measurement and inject the correction."""
     r = sigma_zupt * sigma_zupt
     S = P[3:6, 3:6].copy()
-    for i in range(3):
-        S[i, i] += r
+    S[0, 0] += r
+    S[1, 1] += r
+    S[2, 2] += r
     K = P[:, 3:6] @ np.linalg.inv(S)
-    dx = K @ (-v)
+    v0, v1, v2 = v
+    d0, d1, d2, d3, d4, d5, d6, d7, d8 = (K @ np.array((-v0, -v1, -v2))).tolist()
 
-    p_new = p + dx[0:3]
-    v_new = v + dx[3:6]
-    q_new = _quat_normalize(_quat_mul(_quat_from_rotvec(dx[6:9]), q))
+    p0, p1, p2 = p
+    p_new = (p0 + d0, p1 + d1, p2 + d2)
+    v_new = (v0 + d3, v1 + d4, v2 + d5)
+    q_new = _quat_normalize(_quat_mul(_quat_from_rotvec((d6, d7, d8)), q))
 
-    IKH = np.eye(9)
+    IKH = _EYE9.copy()
     IKH[:, 3:6] -= K
     P_new = IKH @ P @ IKH.T + r * (K @ K.T)
     P_new = 0.5 * (P_new + P_new.T)
@@ -129,28 +147,24 @@ def zupt_update(p, v, q, P, sigma_zupt):
 
 
 def _ins_loop(t, accel, gyro, zv, p0, v0, q0, P0, g, sig_a, sig_g, sig_z):
+    # gyro and dt become floats one sample at a time: whole-array .tolist()
+    # copies leave ~2 MB of freed Python objects behind, raising peak RSS
     n = t.shape[0]
-    out_p = np.empty((n, 3))
-    out_v = np.empty((n, 3))
-    out_q = np.empty((n, 4))
-    p = p0.copy()
-    v = v0.copy()
-    q = q0.copy()
-    P = P0.copy()
+    dts = np.diff(t)
+    zv = zv.tolist()
+    g = g.tolist()
+    out = np.empty((n, 10))
+    p, v, q, P = tuple(p0.tolist()), tuple(v0.tolist()), tuple(q0.tolist()), P0
     if zv[0]:
         p, v, q, P = zupt_update(p, v, q, P, sig_z)
-    out_p[0] = p
-    out_v[0] = v
-    out_q[0] = q
+    out[0] = p + v + q
     for k in range(1, n):
-        dt = t[k] - t[k - 1]
-        p, v, q, P = propagate(p, v, q, P, accel[k], gyro[k], dt, g, sig_a, sig_g)
+        dt = dts.item(k - 1)
+        p, v, q, P = propagate(p, v, q, P, accel[k], gyro[k].tolist(), dt, g, sig_a, sig_g)
         if zv[k]:
             p, v, q, P = zupt_update(p, v, q, P, sig_z)
-        out_p[k] = p
-        out_v[k] = v
-        out_q[k] = q
-    return out_p, out_v, out_q
+        out[k] = p + v + q
+    return out[:, 0:3], out[:, 3:6], out[:, 6:10]
 
 
 def level_from_accel(mean_accel) -> Quaternion:

@@ -84,8 +84,11 @@ def read_imu_csv(path, rate_hz: float | None = None, jitter_tol: float = 0.1) ->
     if data.shape[0] < 1:
         raise ValueError(f"{path}: empty IMU log")
     t = data[:, 0]
+    dts = np.diff(t)
+    if np.any(dts <= 0):
+        raise ValueError(f"{path}: timestamps must be strictly increasing")
     if rate_hz is None:
-        rate_hz = 1.0 / float(np.median(np.diff(t))) if t.shape[0] >= 2 else 125.0
+        rate_hz = 1.0 / float(np.median(dts)) if t.shape[0] >= 2 else 125.0
     try:
         return ImuStream(t, data[:, 1:4], data[:, 4:7], rate_hz, jitter_tol)
     except ValueError as exc:

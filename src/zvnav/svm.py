@@ -283,33 +283,33 @@ def train(windows: np.ndarray, labels, kernel_width: float | None = None,
 
 
 def predict_batch(model: SvmModel, windows: np.ndarray) -> np.ndarray:
-    """Predicted label per row by one-vs-one voting (deterministic)."""
+    """Predicted label per row by one-vs-one voting (deterministic).
+
+    A unique top vote wins; a two-way tie goes to that pair's decision; a
+    wider tie goes to the smallest tied label.
+    """
     X = np.atleast_2d(np.asarray(windows, dtype=np.float64))
     if X.shape[1] != model.dim:
         raise ValueError(f"feature dimension {X.shape[1]} != model dimension {model.dim}")
     m = X.shape[0]
     cls_index = {c: i for i, c in enumerate(model.classes)}
     votes = np.zeros((m, len(model.classes)), dtype=np.int64)
-    decisions = {}
+    decisions = []
     for p in model.pairs:
         f = p.decision(X, model.kernel_width)
-        decisions[(p.class_a, p.class_b)] = f
         ia, ib = cls_index[p.class_a], cls_index[p.class_b]
+        decisions.append((p, ia, ib, f))
         wins_a = f >= 0.0
         votes[wins_a, ia] += 1
         votes[~wins_a, ib] += 1
 
-    out = np.empty(m, dtype=np.int64)
-    top = votes.max(axis=1)
-    for r in range(m):
-        tied = [model.classes[i] for i in range(len(model.classes)) if votes[r, i] == top[r]]
-        if len(tied) == 1:
-            out[r] = tied[0]
-        elif len(tied) == 2:
-            a, b = min(tied), max(tied)
-            out[r] = a if decisions[(a, b)][r] >= 0.0 else b
-        else:
-            out[r] = min(tied)
+    classes = np.asarray(model.classes, dtype=np.int64)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    out = np.where(tied, classes, classes.max()).min(axis=1)
+    two = tied.sum(axis=1) == 2
+    for p, ia, ib, f in decisions:
+        rows = two & tied[:, ia] & tied[:, ib]
+        out[rows] = np.where(f[rows] >= 0.0, p.class_a, p.class_b)
     return out
 
 

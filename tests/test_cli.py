@@ -143,6 +143,13 @@ class TestZv:
                           "--out", str(tmp_path / "flags.csv")])
         assert line == f"Error: {imu}: timestamp jitter exceeds tolerance (10% of the nominal period)"
 
+    def test_detect_rejects_repeated_timestamps(self, tmp_path):
+        imu = tmp_path / "repeated.csv"
+        imu.write_text("t,ax,ay,az,wx,wy,wz\n" + "0,0,0,9.8,0,0,0\n" * 3)
+        line = cli_error(["zv", "detect", "--imu", str(imu), "--gamma", "340000",
+                          "--out", str(tmp_path / "flags.csv")])
+        assert line == f"Error: {imu}: timestamps must be strictly increasing"
+
     def test_optimize_prints_gamma_and_writes_curve(self, workdir, tmp_path):
         curve = tmp_path / "curve.csv"
         result = run_cli(["zv", "optimize", "--imu", str(workdir / "walk.csv"),

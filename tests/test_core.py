@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zvnav.core import (
     ImuStream,
@@ -32,6 +35,16 @@ def random_unit_quaternion(rng):
     return Quaternion.from_array(q)
 
 
+def vectors(bound, n=3):
+    return arrays(np.float64, n, elements=st.floats(-bound, bound))
+
+
+unit_quaternions = vectors(1.0, 4).filter(lambda q: np.linalg.norm(q) > 1e-3).map(
+    lambda q: Quaternion.from_array(q / np.linalg.norm(q)))
+directions = vectors(1.0).filter(lambda u: np.linalg.norm(u) > 1e-3).map(
+    lambda u: u / np.linalg.norm(u))
+
+
 class TestQuaternion:
     def test_identity_rotation(self):
         assert np.allclose(quat_to_rotation(Quaternion.identity()), np.eye(3))
@@ -40,12 +53,12 @@ class TestQuaternion:
         q = Quaternion(math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4))
         assert np.allclose(quat_to_rotation(q) @ [1, 0, 0], [0, 1, 0], atol=1e-12)
 
-    def test_random_quaternions_give_orthonormal_matrices(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            R = quat_to_rotation(random_unit_quaternion(rng))
-            assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
-            assert abs(np.linalg.det(R) - 1.0) < 1e-12
+    @given(unit_quaternions)
+    def test_random_quaternions_give_orthonormal_matrices(self, q):
+        assert abs(q.normalized().norm - 1.0) < 1e-12
+        R = quat_to_rotation(q)
+        assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
+        assert abs(np.linalg.det(R) - 1.0) < 1e-12
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -53,13 +66,29 @@ class TestQuaternion:
         with pytest.raises(ValueError):
             quat_to_rotation(Quaternion(1.0, float("inf"), 0.0, 0.0))
 
-    def test_multiply_matches_matrix_product(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a, b = random_unit_quaternion(rng), random_unit_quaternion(rng)
-            lhs = quat_to_rotation(a * b)
-            rhs = quat_to_rotation(a) @ quat_to_rotation(b)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
+    @given(unit_quaternions, unit_quaternions)
+    def test_multiply_matches_matrix_product(self, a, b):
+        lhs = quat_to_rotation(a * b)
+        rhs = quat_to_rotation(a) @ quat_to_rotation(b)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    @given(vectors(3.0))
+    def test_rotvec_times_its_negative_is_identity(self, phi):
+        q = Quaternion.from_rotvec(phi)
+        assert abs(q.norm - 1.0) < 1e-12
+        back = q * Quaternion.from_rotvec(-phi)
+        assert np.max(np.abs(back.as_array() - [1.0, 0.0, 0.0, 0.0])) < 1e-12
+
+    @given(directions, st.floats(0.5, 2.0))
+    def test_rotvec_continuous_across_small_angle_branch(self, u, scale):
+        # |phi| < 1e-12 takes the first-order branch; both sides agree with
+        # the first-order map (1, phi / 2) to rounding
+        phi = u * scale * 1e-12
+        q = Quaternion.from_rotvec(phi).as_array()
+        assert np.max(np.abs(q - np.concatenate([[1.0], 0.5 * phi]))) < 1e-15
+        below = Quaternion.from_rotvec(u * (1e-12 * (1 - 1e-9))).as_array()
+        above = Quaternion.from_rotvec(u * (1e-12 * (1 + 1e-9))).as_array()
+        assert np.max(np.abs(above - below)) < 1e-15
 
 
 class TestOmegaUpdate:
@@ -73,10 +102,8 @@ class TestOmegaUpdate:
         expect = [math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4)]
         assert np.allclose(q.as_array(), expect, atol=1e-12)
 
-    def test_forward_then_back_restores(self):
-        rng = np.random.default_rng(2)
-        q = random_unit_quaternion(rng)
-        phi = rng.normal(size=3) * 0.3
+    @given(unit_quaternions, vectors(1.0))
+    def test_forward_then_back_restores(self, q, phi):
         back = omega_update(omega_update(q, phi), -phi)
         assert np.max(np.abs(back.as_array() - q.as_array())) < 1e-9
 
@@ -97,13 +124,11 @@ class TestOmegaUpdate:
             q = omega_update(q, rng.normal(size=3) * 1e-2)
         assert abs(q.norm - 1.0) < 1e-9
 
-    def test_matches_matrix_exponential_exactly_for_small_steps(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            phi = rng.normal(size=3)
-            phi *= 1e-3 / np.linalg.norm(phi)
-            R = quat_to_rotation(omega_update(Quaternion.identity(), phi))
-            assert np.max(np.abs(R - rodrigues(phi))) < 1e-6
+    @given(directions)
+    def test_matches_matrix_exponential_exactly_for_small_steps(self, u):
+        phi = u * 1e-3
+        R = quat_to_rotation(omega_update(Quaternion.identity(), phi))
+        assert np.max(np.abs(R - rodrigues(phi))) < 1e-6
 
     def test_step_too_large(self):
         with pytest.raises(StepTooLargeError):

@@ -142,6 +142,41 @@ def test_step_keeps_covariance_spd_and_quaternion_unit(inputs, with_zupt):
     assert abs(np.linalg.norm(q) - 1.0) < 1e-9
 
 
+@st.composite
+def flagged_streams(draw):
+    """A short stream with random ZUPT flags; sample 0 alone starts stationary."""
+    n = draw(st.integers(2, 40))
+    accel = G_UP + draw(arrays(np.float64, (n, 3), elements=st.floats(-20.0, 20.0)))
+    gyro = draw(arrays(np.float64, (n, 3), elements=st.floats(-10.0, 10.0)))
+    zv = draw(arrays(np.bool_, n))
+    zv[:2] = True, False
+    return ImuStream(np.arange(n) / 125.0, accel, gyro), zv
+
+
+@settings(max_examples=60, deadline=None)
+@given(flagged_streams())
+def test_run_ins_is_the_step_kernels_stepped_by_hand(case):
+    stream, zv = case
+    cfg = EkfConfig()
+    traj = run_ins(stream, zv, cfg)
+    # run_ins levels from the first stationary run, here sample 0 alone
+    q0 = level_from_accel(stream.accel[0]).as_array()
+    p, v, q, P = cfg.p0, cfg.v0, q0, cfg.initial_covariance()
+    rows = []
+    for k in range(len(stream)):
+        if k > 0:
+            p, v, q, P = propagate(p, v, q, P, stream.accel[k], stream.gyro[k],
+                                   stream.t[k] - stream.t[k - 1], cfg.g,
+                                   cfg.sigma_accel, cfg.sigma_gyro)
+        if zv[k]:
+            p, v, q, P = zupt_update(p, v, q, P, cfg.sigma_zupt)
+        rows.append(np.concatenate([p, v, q]))
+        if k % 2:
+            # the kernels return tuples and take ndarray or tuple state alike
+            p, v, q = np.array(p), np.array(v), np.array(q)
+    assert np.array_equal(np.array(rows), np.hstack([traj.pos, traj.vel, traj.quat]))
+
+
 class TestLeveling:
     def test_level_from_tilted_accel(self):
         rng = np.random.default_rng(2)

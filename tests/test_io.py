@@ -57,6 +57,15 @@ class TestImuCsv:
         with pytest.raises(ValueError, match=r"imu\.csv: timestamp jitter exceeds tolerance"):
             zio.read_imu_csv(path)
 
+    @pytest.mark.parametrize("t", [[0.0, 0.0, 0.0], [0.0, -0.008, -0.016, 0.5]])
+    def test_non_increasing_timestamps_name_file(self, tmp_path, t):
+        # checked before the rate is estimated from the median step, which is
+        # zero (repeated) or negative (mostly decreasing) here
+        path = tmp_path / "imu.csv"
+        path.write_text("t,ax,ay,az,wx,wy,wz\n" + "".join(f"{ti},0,0,9.8,0,0,0\n" for ti in t))
+        with pytest.raises(ValueError, match=r"imu\.csv: timestamps must be strictly increasing"):
+            zio.read_imu_csv(path)
+
     def test_write_is_deterministic(self, tmp_path, short_trial):
         stream, _ = short_trial
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

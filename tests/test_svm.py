@@ -1,12 +1,19 @@
 import json
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import zvnav
 from zvnav.core import ImuStream
 from zvnav.svm import (
     NormStats,
+    PairClassifier,
+    SvmModel,
     TrainingFailedError,
     build_windows,
     classify_stream,
@@ -164,6 +171,44 @@ class TestPredict:
         assert mean_acc >= 0.90
         diag = np.diag(mat)
         assert np.max(np.abs(diag - mean_acc)) <= 0.10
+
+
+@st.composite
+def voting_cases(draw):
+    """A 3- or 4-class model of one-vector pairs and rows near its vectors.
+
+    Decisions take few distinct signs over few rows, so vote ties of every
+    width are common.
+    """
+    classes = tuple(sorted(draw(st.sets(st.integers(0, 9), min_size=3, max_size=4))))
+    pairs = tuple(
+        PairClassifier(a, b, draw(arrays(np.float64, (1, 6), elements=st.sampled_from([-1.0, 1.0]))),
+                       np.array([draw(st.sampled_from([-1.0, 1.0]))]),
+                       draw(st.sampled_from([-0.5, 0.0, 0.5])))
+        for a, b in combinations(classes, 2))
+    model = SvmModel(classes, pairs, 0.5, 1.0, NormStats.identity(), 1)
+    rows = draw(arrays(np.float64, (draw(st.integers(1, 8)), 6), elements=st.sampled_from([-1.0, 1.0])))
+    return model, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(voting_cases())
+def test_vote_tie_break_rules(case):
+    # a unique top vote wins; a two-way tie goes to that pair's decision;
+    # a wider tie goes to the smallest tied label
+    model, rows = case
+    decisions = {(p.class_a, p.class_b): p.decision(rows, model.kernel_width) for p in model.pairs}
+    pred = predict_batch(model, rows)
+    for r in range(rows.shape[0]):
+        votes = dict.fromkeys(model.classes, 0)
+        for (a, b), f in decisions.items():
+            votes[a if f[r] >= 0.0 else b] += 1
+        tied = [c for c in model.classes if votes[c] == max(votes.values())]
+        if len(tied) == 2:
+            expect = tied[0] if decisions[tuple(tied)][r] >= 0.0 else tied[1]
+        else:
+            expect = min(tied)
+        assert pred[r] == expect
 
 
 class TestSmooth:
