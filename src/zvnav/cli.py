@@ -3,21 +3,22 @@
 The six command groups (zv, classify, sim, survey, ins, eval) live under one
 ``zvnav`` entry point, e.g. ``zvnav zv detect ...`` or ``zvnav eval trial ...``.
 Shared EKF/detector defaults can come from a ``key = value`` config file
-(--config; the accepted keys are ``io.CONFIG_KEYS``); any flag given
-explicitly overrides the config value. Bad input files, config files or
-models end a command with a one-line error rather than a traceback.
+(--config). ``io.CONFIG_TABLE`` maps each key to the field it sets and
+``_configure`` applies it; a flag named like a key overrides the config
+value. Bad input files, config files or models end a command with a
+one-line error rather than a traceback.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+import math
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import io as zio
-from .core import gravity_vector
+from .core import ImuStream
 from .detector import AdaptiveParams, DetectorParams, detect, detect_adaptive
 from .ekf import EkfConfig, run_ins
 from .evaluate import marker_layout_from_truth, run_trial
@@ -45,34 +46,35 @@ from .svm import (
 )
 
 
-def _load_cfg(config_path) -> dict:
-    return zio.load_config(config_path) if config_path else {}
+def _settings(values: dict) -> tuple[DetectorParams, EkfConfig, dict]:
+    """The ``io.CONFIG_TABLE`` targets, set from the table keys in ``values``.
+
+    The ``ImuStream`` target comes back as ``read_imu_csv`` keyword arguments.
+    """
+    fields = {DetectorParams: {}, EkfConfig: {}, ImuStream: {}}
+    for key, target, name, cast in zio.CONFIG_TABLE:
+        if key in values:
+            fields[target][name] = cast(values[key])
+    return (DetectorParams(**fields[DetectorParams]), EkfConfig(**fields[EkfConfig]),
+            fields[ImuStream])
 
 
-def _detector_params(cfg: dict, window=None, sigma_a=None, sigma_w=None,
-                     gravity=None, gamma=None) -> DetectorParams:
-    base = DetectorParams()
-    return DetectorParams(
-        W=int(window if window is not None else cfg.get("window", base.W)),
-        sigma_a=float(sigma_a if sigma_a is not None else cfg.get("sigma_a", base.sigma_a)),
-        sigma_w=float(sigma_w if sigma_w is not None else cfg.get("sigma_w", base.sigma_w)),
-        g=float(gravity if gravity is not None else cfg.get("gravity", base.g)),
-        gamma=float(gamma if gamma is not None else cfg.get("gamma", base.gamma)),
-    )
+def _configure(imu, config_path, **flags):
+    """A command's IMU log, detector and filter settings, and the config keys set.
 
-
-def _ekf_config(cfg: dict) -> EkfConfig:
-    base = EkfConfig()
-    g_mag = float(cfg.get("gravity", -base.g[2]))
-    return EkfConfig(
-        sigma_accel=float(cfg.get("sigma_accel", base.sigma_accel)),
-        sigma_gyro=float(cfg.get("sigma_gyro", base.sigma_gyro)),
-        sigma_zupt=float(cfg.get("sigma_zupt", base.sigma_zupt)),
-        g=gravity_vector(g_mag),
-        init_pos_std=float(cfg.get("init_pos_std", base.init_pos_std)),
-        init_vel_std=float(cfg.get("init_vel_std", base.init_vel_std)),
-        init_att_std=float(cfg.get("init_att_std", base.init_att_std)),
-    )
+    Settings are the defaults, then the config file's values, then the flags
+    given; ``flags`` are the command's options named like config keys. The
+    config values are applied on their own first, so a value that a target
+    rejects fails naming the file.
+    """
+    cfg = zio.load_config(config_path) if config_path else {}
+    try:
+        _settings(cfg)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{config_path}: {exc}") from None
+    given = {**cfg, **{key: v for key, v in flags.items() if v is not None}}
+    detector, ekf_cfg, imu_opts = _settings(given)
+    return zio.read_imu_csv(imu, **imu_opts), detector, ekf_cfg, given
 
 
 class _Group(click.Group):
@@ -109,9 +111,8 @@ def zv():
 @click.option("--out", required=True, type=click.Path())
 def zv_detect(imu, gamma, window, sigma_a, sigma_w, gravity, config, out):
     """Flag stationary samples; writes a t,stationary CSV."""
-    cfg = _load_cfg(config)
-    params = _detector_params(cfg, window, sigma_a, sigma_w, gravity, gamma)
-    stream = zio.read_imu_csv(imu, rate_hz=cfg.get("rate_hz"))
+    stream, params, _, _ = _configure(imu, config, window=window, sigma_a=sigma_a,
+                                      sigma_w=sigma_w, gravity=gravity, gamma=gamma)
     flags = detect(stream, params)
     zio.write_detect_csv(out, stream.t, flags)
     click.echo(f"{int(flags.sum())} of {len(stream)} samples stationary (gamma={params.gamma:g})")
@@ -134,13 +135,12 @@ def zv_detect(imu, gamma, window, sigma_a, sigma_w, gravity, config, out):
 def zv_optimize(imu, mocap, motion, beta2, speed_threshold, grid_points,
                 window, sigma_a, sigma_w, config, curve_out):
     """Sweep gamma against mocap ground truth and print the optimum."""
-    cfg = _load_cfg(config)
+    stream, detector, _, _ = _configure(imu, config, window=window, sigma_a=sigma_a,
+                                        sigma_w=sigma_w)
     if beta2 is None:
         beta2 = WALK_BETA_SQ if motion == "walk" else RUN_BETA_SQ
     if speed_threshold is None:
         speed_threshold = WALK_SPEED_THRESHOLD if motion == "walk" else RUN_SPEED_THRESHOLD
-    detector = _detector_params(cfg, window, sigma_a, sigma_w)
-    stream = zio.read_imu_csv(imu, rate_hz=cfg.get("rate_hz"))
     mocap_stream = zio.read_mocap_csv(mocap)
     fcfg = FBetaConfig(beta_sq=beta2, speed_threshold=speed_threshold,
                        gamma_grid=default_gamma_grid(grid_points))
@@ -375,10 +375,7 @@ def ins():
 def ins_run(imu, gamma, adaptive, model_path, gamma_walk, gamma_run,
             smooth_window, config, out):
     """Run the INS with a fixed or adaptive threshold; writes a trajectory CSV."""
-    cfg = _load_cfg(config)
-    detector = _detector_params(cfg)
-    ekf_cfg = _ekf_config(cfg)
-    stream = zio.read_imu_csv(imu, rate_hz=cfg.get("rate_hz"))
+    stream, detector, ekf_cfg, given = _configure(imu, config, gamma=gamma)
 
     if adaptive:
         if model_path is None or gamma_walk is None or gamma_run is None:
@@ -388,11 +385,9 @@ def ins_run(imu, gamma, adaptive, model_path, gamma_walk, gamma_run,
         flags = detect_adaptive(stream, binary, detector,
                                 AdaptiveParams(gamma_walk, gamma_run))
     else:
-        if gamma is None:
-            gamma = cfg.get("gamma")
-        if gamma is None:
+        if "gamma" not in given:
             raise click.UsageError("give --gamma (or a config value), or use --adaptive")
-        flags = detect(stream, replace(detector, gamma=float(gamma)))
+        flags = detect(stream, detector)
 
     traj = run_ins(stream, flags, ekf_cfg)
     zio.write_trajectory_csv(out, traj)
@@ -409,6 +404,23 @@ def eval_group():
     """Trial scoring against surveyed markers."""
 
 
+def _read_gammas(path) -> AdaptiveParams:
+    """The ``--gammas`` JSON; a missing or bad value fails naming the file and key."""
+    data = json.loads(Path(path).read_text())
+    values = {}
+    for key in ("gamma_walk", "gamma_run"):
+        if key not in data:
+            raise click.ClickException(f"{path}: missing key '{key}'")
+        try:
+            values[key] = float(data[key])
+        except (TypeError, ValueError):
+            values[key] = math.nan
+        if not values[key] > 0:
+            raise click.ClickException(f"{path}: '{key}' must be a positive number, "
+                                       f"not {data[key]!r}")
+    return AdaptiveParams(**values)
+
+
 @eval_group.command("trial")
 @click.option("--imu", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
@@ -422,19 +434,17 @@ def eval_group():
 @click.option("--report", required=True, type=click.Path())
 def eval_trial(imu, model_path, gammas, triggers, markers, truth_path, config, report):
     """Score fixed-walk, fixed-run and adaptive thresholding on one trial."""
-    cfg = _load_cfg(config)
-    stream = zio.read_imu_csv(imu, rate_hz=cfg.get("rate_hz"))
+    stream, detector, ekf_cfg, _ = _configure(imu, config)
     model = load_model(model_path)
-    gamma_data = json.loads(Path(gammas).read_text())
-    for key in ("gamma_walk", "gamma_run"):
-        if key not in gamma_data:
-            raise click.ClickException(f"{gammas}: missing key '{key}'")
-    adaptive = AdaptiveParams(float(gamma_data["gamma_walk"]), float(gamma_data["gamma_run"]))
+    adaptive = _read_gammas(gammas)
     trigger_log = zio.read_trigger_csv(triggers)
     marker_map = zio.read_marker_map_json(markers)
     class_truth = zio.read_truth_csv(truth_path)["labels"] if truth_path else None
+    if class_truth is not None and len(class_truth) != len(stream):
+        raise click.ClickException(f"{truth_path}: {len(class_truth)} labels for the "
+                                   f"{len(stream)} samples of {imu}")
 
-    result = run_trial(stream, model, adaptive, _detector_params(cfg), _ekf_config(cfg),
+    result = run_trial(stream, model, adaptive, detector, ekf_cfg,
                        trigger_log, marker_map, class_truth=class_truth)
     Path(report).write_text(json.dumps(result.to_dict(), sort_keys=True, indent=1))
     for method, err in result.furthest_errors.items():

@@ -122,16 +122,6 @@ class Quaternion:
     def normalized(self) -> "Quaternion":
         return Quaternion.from_array(_quat_normalize(self.as_array()))
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion.from_array(_quat_mul(self.as_array(), other.as_array()))
-
-    def rotate(self, v) -> np.ndarray:
-        """Rotate a body-frame vector into the navigation frame."""
-        return quat_to_rotation(self) @ np.asarray(v, dtype=np.float64)
-
 
 def quat_to_rotation(q: Quaternion) -> np.ndarray:
     """Rotation matrix of ``q`` (normalized internally), mapping body to nav."""

@@ -161,6 +161,11 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
     be binary; its second class is treated as the faster motion when
     switching thresholds.
     """
+    if class_truth is not None:
+        class_truth = np.asarray(class_truth)
+        if class_truth.shape != (len(stream),):
+            raise ValueError(f"class_truth holds {class_truth.size} labels for "
+                             f"{len(stream)} samples; it must hold one per sample")
     labels, binary = classify_motion(model, stream, smooth_window, smooth_threshold)
 
     zv_by_method = {
@@ -181,13 +186,7 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
                 np.linalg.norm(np.diff(traj.pos[:, :2], axis=0), axis=1).sum()
             )
 
-    svm_accuracy = None
-    if class_truth is not None:
-        class_truth = np.asarray(class_truth)
-        if class_truth.shape != (len(stream),):
-            raise ValueError("class_truth must hold one label per sample")
-        svm_accuracy = float(np.mean(labels.smoothed == class_truth))
-
+    svm_accuracy = None if class_truth is None else float(np.mean(labels.smoothed == class_truth))
     return TrialReport(furthest, per_marker, svm_accuracy, path_length)
 
 

@@ -1,7 +1,13 @@
 """File formats: CSV logs, survey/map/report JSON, key-value config files.
 
-Floats are written with ``repr`` (shortest round-trip form), so identical
-inputs always produce byte-identical files.
+Each CSV format is one row of ``CSV_FORMATS``: its header, the widths of its
+float column groups, and the dtypes of the integer columns after them.
+``_write_csv`` and ``_read_csv`` take and give one array per group, in that
+order: 1-d for width 1, else (n, width). Floats are written with ``repr``
+(shortest round-trip form) and integer or bool columns as ints, so equal
+inputs give byte-identical files and a read returns the written values.
+
+Config keys are the rows of ``CONFIG_TABLE``: (key, target, field, cast).
 """
 from __future__ import annotations
 
@@ -10,49 +16,58 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ImuStream
-from .ekf import Trajectory
+from .core import ImuStream, gravity_vector
+from .detector import DetectorParams
+from .ekf import EkfConfig, Trajectory
 from .evaluate import TriggerLog
 from .optimize import MocapStream, PrCurve
 from .survey import MarkerMap, MarkerObservation
 
-IMU_HEADER = "t,ax,ay,az,wx,wy,wz"
-MOCAP_HEADER = "t,x,y,z"
-TRAJECTORY_HEADER = "t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,zupt"
-DETECT_HEADER = "t,stationary"
-PR_CURVE_HEADER = "gamma,precision,recall,f_beta"
-PREDICT_HEADER = "t,y_raw,y_smooth"
-TRUTH_HEADER = "t,x,y,z,vx,vy,vz,stance,class"
-TRIGGER_HEADER = "t,marker_id"
+CSV_FORMATS = {
+    "imu": ("t,ax,ay,az,wx,wy,wz", (1, 3, 3), ()),
+    "mocap": ("t,x,y,z", (1, 3), ()),
+    "trajectory": ("t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,zupt", (1, 3, 3, 4), (bool,)),
+    "detect": ("t,stationary", (1,), (bool,)),
+    "pr_curve": ("gamma,precision,recall,f_beta", (1, 1, 1, 1), ()),
+    "predict": ("t,y_raw,y_smooth", (1,), (np.int64, np.int64)),
+    "truth": ("t,x,y,z,vx,vy,vz,stance,class", (1, 3, 3), (bool, np.int64)),
+    "trigger": ("t,marker_id", (1,), (np.int64,)),
+}
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_csv(path, header: str, rows) -> None:
+def _write_csv(path, fmt: str, *columns) -> None:
+    header, widths, ints = CSV_FORMATS[fmt]
+    rows = np.column_stack(columns[:len(widths)]).astype(np.float64, copy=False).tolist()
+    if ints:
+        int_rows = np.column_stack(columns[len(widths):]).astype(np.int64).tolist()
+        rows = [f + i for f, i in zip(rows, int_rows)]
     lines = [header]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(map(repr, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_csv(path, header: str) -> np.ndarray:
-    """Numeric body of a CSV file; a malformed line fails naming its 1-based number."""
+def _read_csv(path, fmt: str) -> list[np.ndarray]:
+    """A format's columns; a malformed line fails naming its 1-based number."""
+    header, widths, ints = CSV_FORMATS[fmt]
     text = Path(path).read_text()
     lines = text.strip().splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}: expected header '{header}'")
     width = len(header.split(","))
-    if len(lines) == 1:
-        return np.empty((0, width))
     try:
-        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        if data.shape[1:] == (width,):
-            return data
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        data = np.array(rows) if rows else np.empty((0, width))
     except ValueError:
-        pass
-    header_line = 1 + text[:len(text) - len(text.lstrip())].count("\n")
-    raise ValueError(_malformed_line(path, lines[1:], width, header_line + 1))
+        data = None
+    if data is None or data.shape[1:] != (width,):
+        header_line = 1 + text[:len(text) - len(text.lstrip())].count("\n")
+        raise ValueError(_malformed_line(path, lines[1:], width, header_line + 1))
+    columns, col = [], 0
+    for w in widths:
+        columns.append(data[:, col] if w == 1 else data[:, col:col + w])
+        col += w
+    columns.extend(data[:, col + k].astype(dtype) for k, dtype in enumerate(ints))
+    return columns
 
 
 def _malformed_line(path, lines, width: int, first_lineno: int) -> str:
@@ -68,124 +83,73 @@ def _malformed_line(path, lines, width: int, first_lineno: int) -> str:
     return f"{path}: malformed CSV body"
 
 
-# --- IMU / mocap logs -------------------------------------------------------
+# --- CSV logs -----------------------------------------------------------------
 
 
 def write_imu_csv(path, stream: ImuStream) -> None:
-    rows = (
-        [_fmt(stream.t[i])] + [_fmt(v) for v in stream.accel[i]] + [_fmt(v) for v in stream.gyro[i]]
-        for i in range(len(stream))
-    )
-    _write_csv(path, IMU_HEADER, rows)
+    _write_csv(path, "imu", stream.t, stream.accel, stream.gyro)
 
 
 def read_imu_csv(path, rate_hz: float | None = None, jitter_tol: float = 0.1) -> ImuStream:
-    data = _read_csv(path, IMU_HEADER)
-    if data.shape[0] < 1:
+    t, accel, gyro = _read_csv(path, "imu")
+    if t.shape[0] < 1:
         raise ValueError(f"{path}: empty IMU log")
-    t = data[:, 0]
     dts = np.diff(t)
     if np.any(dts <= 0):
         raise ValueError(f"{path}: timestamps must be strictly increasing")
     if rate_hz is None:
         rate_hz = 1.0 / float(np.median(dts)) if t.shape[0] >= 2 else 125.0
     try:
-        return ImuStream(t, data[:, 1:4], data[:, 4:7], rate_hz, jitter_tol)
+        return ImuStream(t, accel, gyro, rate_hz, jitter_tol)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def write_mocap_csv(path, mocap: MocapStream) -> None:
-    rows = (
-        [_fmt(mocap.t[i])] + [_fmt(v) for v in mocap.pos[i]]
-        for i in range(len(mocap))
-    )
-    _write_csv(path, MOCAP_HEADER, rows)
+    _write_csv(path, "mocap", mocap.t, mocap.pos)
 
 
 def read_mocap_csv(path) -> MocapStream:
-    data = _read_csv(path, MOCAP_HEADER)
-    return MocapStream(data[:, 0], data[:, 1:4])
-
-
-# --- trajectories and detector output ---------------------------------------
+    return MocapStream(*_read_csv(path, "mocap"))
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    rows = (
-        [_fmt(traj.t[i])]
-        + [_fmt(v) for v in traj.pos[i]]
-        + [_fmt(v) for v in traj.vel[i]]
-        + [_fmt(v) for v in traj.quat[i]]
-        + [str(int(traj.zupt[i]))]
-        for i in range(len(traj))
-    )
-    _write_csv(path, TRAJECTORY_HEADER, rows)
+    _write_csv(path, "trajectory", traj.t, traj.pos, traj.vel, traj.quat, traj.zupt)
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    data = _read_csv(path, TRAJECTORY_HEADER)
-    return Trajectory(
-        data[:, 0], data[:, 1:4], data[:, 4:7], data[:, 7:11],
-        data[:, 11].astype(bool),
-    )
+    return Trajectory(*_read_csv(path, "trajectory"))
 
 
 def write_detect_csv(path, t: np.ndarray, stationary: np.ndarray) -> None:
-    rows = ([_fmt(t[i]), str(int(stationary[i]))] for i in range(t.shape[0]))
-    _write_csv(path, DETECT_HEADER, rows)
+    _write_csv(path, "detect", t, stationary)
 
 
 def write_pr_curve_csv(path, curve: PrCurve) -> None:
-    rows = (
-        [_fmt(curve.gamma[i]), _fmt(curve.precision[i]), _fmt(curve.recall[i]), _fmt(curve.f_beta[i])]
-        for i in range(len(curve))
-    )
-    _write_csv(path, PR_CURVE_HEADER, rows)
+    _write_csv(path, "pr_curve", curve.gamma, curve.precision, curve.recall, curve.f_beta)
 
 
 def write_predict_csv(path, t: np.ndarray, raw: np.ndarray, smoothed) -> None:
-    sm = raw if smoothed is None else smoothed
-    rows = ([_fmt(t[i]), str(int(raw[i])), str(int(sm[i]))] for i in range(t.shape[0]))
-    _write_csv(path, PREDICT_HEADER, rows)
-
-
-# --- simulator truth ---------------------------------------------------------
+    _write_csv(path, "predict", t, raw, raw if smoothed is None else smoothed)
 
 
 def write_truth_csv(path, truth) -> None:
-    rows = (
-        [_fmt(truth.t[i])]
-        + [_fmt(v) for v in truth.pos[i]]
-        + [_fmt(v) for v in truth.vel[i]]
-        + [str(int(truth.stance[i])), str(int(truth.labels[i]))]
-        for i in range(truth.t.shape[0])
-    )
-    _write_csv(path, TRUTH_HEADER, rows)
+    _write_csv(path, "truth", truth.t, truth.pos, truth.vel, truth.stance, truth.labels)
 
 
 def read_truth_csv(path) -> dict:
-    data = _read_csv(path, TRUTH_HEADER)
-    return {
-        "t": data[:, 0],
-        "pos": data[:, 1:4],
-        "vel": data[:, 4:7],
-        "stance": data[:, 7].astype(bool),
-        "labels": data[:, 8].astype(np.int64),
-    }
-
-
-# --- triggers, markers, surveys ----------------------------------------------
+    return dict(zip(("t", "pos", "vel", "stance", "labels"), _read_csv(path, "truth")))
 
 
 def write_trigger_csv(path, triggers: TriggerLog) -> None:
-    rows = ([_fmt(triggers.t[i]), str(int(triggers.marker_ids[i]))] for i in range(len(triggers)))
-    _write_csv(path, TRIGGER_HEADER, rows)
+    _write_csv(path, "trigger", triggers.t, triggers.marker_ids)
 
 
 def read_trigger_csv(path) -> TriggerLog:
-    data = _read_csv(path, TRIGGER_HEADER)
-    return TriggerLog(data[:, 0], data[:, 1].astype(np.int64))
+    return TriggerLog(*_read_csv(path, "trigger"))
+
+
+# --- markers, surveys ------------------------------------------------------------
 
 
 def write_marker_map_json(path, marker_map: MarkerMap) -> None:
@@ -240,10 +204,25 @@ def write_survey_json(path, stations) -> None:
 # --- key-value config ---------------------------------------------------------
 
 
-CONFIG_KEYS = (
-    "window", "sigma_a", "sigma_w", "gamma", "gravity", "sigma_accel", "sigma_gyro",
-    "sigma_zupt", "init_pos_std", "init_vel_std", "init_att_std", "rate_hz",
+# One row per place a config key lands: (key, target, field, cast). ``gravity``
+# lands twice, as the detector's magnitude and as the filter's gravity vector;
+# ``rate_hz`` is the nominal rate the IMU reader gives the ``ImuStream``.
+CONFIG_TABLE = (
+    ("window", DetectorParams, "W", int),
+    ("sigma_a", DetectorParams, "sigma_a", float),
+    ("sigma_w", DetectorParams, "sigma_w", float),
+    ("gamma", DetectorParams, "gamma", float),
+    ("gravity", DetectorParams, "g", float),
+    ("gravity", EkfConfig, "g", gravity_vector),
+    ("sigma_accel", EkfConfig, "sigma_accel", float),
+    ("sigma_gyro", EkfConfig, "sigma_gyro", float),
+    ("sigma_zupt", EkfConfig, "sigma_zupt", float),
+    ("init_pos_std", EkfConfig, "init_pos_std", float),
+    ("init_vel_std", EkfConfig, "init_vel_std", float),
+    ("init_att_std", EkfConfig, "init_att_std", float),
+    ("rate_hz", ImuStream, "rate_hz", float),
 )
+CONFIG_KEYS = tuple(dict.fromkeys(key for key, *_ in CONFIG_TABLE))
 
 
 def load_config(path) -> dict[str, float]:

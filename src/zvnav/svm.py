@@ -208,12 +208,6 @@ class SvmModel:
     def dim(self) -> int:
         return 6 * self.window_len
 
-    def pair_for(self, a: int, b: int) -> PairClassifier:
-        for p in self.pairs:
-            if (p.class_a, p.class_b) == (min(a, b), max(a, b)):
-                return p
-        raise KeyError(f"no pair classifier for classes {a}, {b}")
-
 
 def train(windows: np.ndarray, labels, kernel_width: float | None = None,
           c_reg: float = 1.0, norm_stats: NormStats | None = None,
@@ -311,10 +305,6 @@ def predict_batch(model: SvmModel, windows: np.ndarray) -> np.ndarray:
         rows = two & tied[:, ia] & tied[:, ib]
         out[rows] = np.where(f[rows] >= 0.0, p.class_a, p.class_b)
     return out
-
-
-def kkt_residuals(model: SvmModel) -> dict[tuple[int, int], float]:
-    return {(p.class_a, p.class_b): p.kkt_residual for p in model.pairs}
 
 
 # ---------------------------------------------------------------------------

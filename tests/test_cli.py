@@ -274,6 +274,18 @@ class TestInsRun:
                  "--out", str(out)])
         assert zio.read_trajectory_csv(out).pos.shape[0] == 6000
 
+    @pytest.mark.parametrize("setting, message", [
+        ("window = 1", "W must be at least 2"),
+        ("sigma_zupt = -1", "sigma_zupt must be positive"),
+        ("window = 1e400", "cannot convert float infinity to integer"),
+    ])
+    def test_config_value_error_names_the_file(self, workdir, tmp_path, setting, message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(setting + "\n")
+        line = cli_error(["ins", "run", "--imu", str(workdir / "walk.csv"), "--gamma", "340000",
+                          "--config", str(cfg), "--out", str(tmp_path / "traj.csv")])
+        assert line == f"Error: {cfg}: {message}"
+
     def test_run_deterministic(self, workdir, tmp_path):
         out = tmp_path / "traj.csv"
         rerun_identical(["ins", "run", "--imu", str(workdir / "walk.csv"),
@@ -306,6 +318,25 @@ class TestEvalTrial:
         args[args.index("--gammas") + 1] = str(gammas)
         line = cli_error(args)
         assert line == f"Error: {gammas}: missing key 'gamma_run'"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_gammas_value_not_a_number(self, workdir, tmp_path):
+        gammas = tmp_path / "gammas.json"
+        gammas.write_text(json.dumps({"gamma_walk": 1e5, "gamma_run": "x"}))
+        args = self.args(workdir, tmp_path / "report.json")
+        args[args.index("--gammas") + 1] = str(gammas)
+        line = cli_error(args)
+        assert line == f"Error: {gammas}: 'gamma_run' must be a positive number, not 'x'"
+
+    def test_truth_shorter_than_the_log(self, workdir, tmp_path):
+        truth = tmp_path / "short_truth.csv"
+        lines = (workdir / "mixed_truth.csv").read_text().splitlines()
+        truth.write_text("\n".join(lines[:2501]) + "\n")
+        args = self.args(workdir, tmp_path / "report.json")
+        args[args.index("--truth") + 1] = str(truth)
+        line = cli_error(args)
+        imu = workdir / "mixed.csv"
+        assert line == f"Error: {truth}: 2500 labels for the 6000 samples of {imu}"
         assert not (tmp_path / "report.json").exists()
 
     def test_eval_deterministic(self, workdir, tmp_path):

@@ -12,6 +12,7 @@ from zvnav.core import (
     Se3Transform,
     StepTooLargeError,
     ZvLabelStream,
+    _quat_mul,
     omega_update,
     quat_to_rotation,
     se3_compose,
@@ -68,7 +69,7 @@ class TestQuaternion:
 
     @given(unit_quaternions, unit_quaternions)
     def test_multiply_matches_matrix_product(self, a, b):
-        lhs = quat_to_rotation(a * b)
+        lhs = quat_to_rotation(Quaternion.from_array(_quat_mul(a.as_array(), b.as_array())))
         rhs = quat_to_rotation(a) @ quat_to_rotation(b)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -76,8 +77,8 @@ class TestQuaternion:
     def test_rotvec_times_its_negative_is_identity(self, phi):
         q = Quaternion.from_rotvec(phi)
         assert abs(q.norm - 1.0) < 1e-12
-        back = q * Quaternion.from_rotvec(-phi)
-        assert np.max(np.abs(back.as_array() - [1.0, 0.0, 0.0, 0.0])) < 1e-12
+        back = _quat_mul(q.as_array(), Quaternion.from_rotvec(-phi).as_array())
+        assert np.max(np.abs(np.array(back) - [1.0, 0.0, 0.0, 0.0])) < 1e-12
 
     @given(directions, st.floats(0.5, 2.0))
     def test_rotvec_continuous_across_small_angle_branch(self, u, scale):

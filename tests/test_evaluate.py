@@ -195,6 +195,20 @@ class TestRunTrial:
             run_trial(stream, six_class_model["model"], adaptive_setup["gammas"],
                       adaptive_setup["detector"], adaptive_setup["ekf"], triggers, marker_map)
 
+    def test_short_class_truth_fails_before_the_ins_passes(self, adaptive_setup, monkeypatch):
+        stream, truth = zvnav.simulate(mixed_segments(), zvnav.NoiseModel(seed=54))
+        marker_map, triggers = marker_layout_from_truth(truth, every=10)
+
+        def no_ins(*args, **kwargs):
+            raise AssertionError("run_ins called before class_truth was checked")
+
+        monkeypatch.setattr("zvnav.evaluate.run_ins", no_ins)
+        with pytest.raises(ValueError, match=f"class_truth holds 2500 labels for {len(stream)} "
+                                             "samples; it must hold one per sample"):
+            run_trial(stream, adaptive_setup["model"], adaptive_setup["gammas"],
+                      adaptive_setup["detector"], adaptive_setup["ekf"], triggers, marker_map,
+                      class_truth=truth.labels[:2500])
+
     def test_per_marker_errors_cover_all_triggered_markers(self, adaptive_setup):
         stream, truth = zvnav.simulate(out_and_back("walk", 30.0), zvnav.NoiseModel(seed=53))
         marker_map, triggers = marker_layout_from_truth(truth, every=6)

@@ -78,27 +78,31 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def imu_streams(draw):
-    """Valid streams: strictly increasing t, jitter under 10% of the nominal period."""
-    n = draw(st.integers(1, 40))
-    rate = draw(st.floats(10.0, 1000.0))
-    jitter = draw(arrays(np.float64, n - 1, elements=st.floats(-0.09, 0.09)))
-    t0 = draw(st.floats(-1e3, 1e3))
-    t = t0 + np.concatenate([[0.0], np.cumsum((1.0 + jitter) / rate)])
-    accel = draw(arrays(np.float64, (n, 3), elements=finite))
-    gyro = draw(arrays(np.float64, (n, 3), elements=finite))
-    return zvnav.ImuStream(t, accel, gyro, rate)
+def csv_columns(draw, fmt):
+    """Columns of one ``CSV_FORMATS`` row: its float groups, then its integer columns."""
+    _, widths, ints = zio.CSV_FORMATS[fmt]
+    n = draw(st.integers(0, 30))
+    columns = [draw(arrays(np.float64, n if w == 1 else (n, w), elements=finite)) for w in widths]
+    for dtype in ints:
+        values = st.booleans() if dtype is bool else st.integers(-2**53, 2**53)
+        columns.append(draw(arrays(dtype, n, elements=values)))
+    return columns
 
 
+@pytest.mark.parametrize("fmt", sorted(zio.CSV_FORMATS))
 @settings(max_examples=60, deadline=None)
-@given(imu_streams())
-def test_imu_csv_round_trip_is_bit_identical(stream):
+@given(data=st.data())
+def test_csv_round_trip_is_bit_identical(fmt, data):
+    columns = data.draw(csv_columns(fmt))
     with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "imu.csv"
-        zio.write_imu_csv(path, stream)
-        back = zio.read_imu_csv(path, rate_hz=stream.rate_hz)
-    for name in ("t", "accel", "gyro"):
-        assert getattr(back, name).tobytes() == getattr(stream, name).tobytes()
+        path = Path(d) / f"{fmt}.csv"
+        zio._write_csv(path, fmt, *columns)
+        assert path.read_text().splitlines()[0] == zio.CSV_FORMATS[fmt][0]
+        back = zio._read_csv(path, fmt)
+    assert len(back) == len(columns)
+    for got, want in zip(back, columns):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestOtherCsv:

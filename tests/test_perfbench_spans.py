@@ -4,10 +4,13 @@
 ``SPAN_TABLE`` and, for a name zvnav no longer defines, only reports it as
 absent. This test turns such a name into a failure, so a change that deletes
 or renames a traced function is caught here rather than in a benchmark run.
+Each name must be a plain function: the tracer reads ``__name__``, which a
+``functools.partial`` or other callable object need not have.
 The table is read from the file without importing it as a package module and
 without writing anything under ``perfbench/``.
 """
 import importlib
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -27,5 +30,7 @@ def load_span_table():
 
 def test_every_traced_function_exists():
     absent = [f"zvnav.{module}.{function}" for _, module, function, _ in load_span_table()
-              if not callable(getattr(importlib.import_module(f"zvnav.{module}"), function, None))]
-    assert absent == [], f"perfbench SPAN_TABLE traces names zvnav does not define: {absent}"
+              if not inspect.isfunction(
+                  getattr(importlib.import_module(f"zvnav.{module}"), function, None))]
+    assert absent == [], ("perfbench SPAN_TABLE traces names zvnav does not define "
+                          f"as plain functions: {absent}")
