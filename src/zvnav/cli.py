@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import io as zio
-from .core import ImuStream
+from .core import ImuStream, read_json_object
 from .detector import AdaptiveParams, DetectorParams, detect, detect_adaptive
 from .ekf import EkfConfig, run_ins
 from .evaluate import marker_layout_from_truth, run_trial
@@ -64,12 +64,13 @@ def _configure(imu, config_path, **flags):
 
     Settings are the defaults, then the config file's values, then the flags
     given; ``flags`` are the command's options named like config keys. The
-    config values are applied on their own first, so a value that a target
-    rejects fails naming the file.
+    config values are applied on their own first, the ``ImuStream`` ones to a
+    one-sample stream, so a value that a target rejects fails naming the file.
     """
     cfg = zio.load_config(config_path) if config_path else {}
     try:
-        _settings(cfg)
+        _, _, imu_opts = _settings(cfg)
+        ImuStream(np.zeros(1), np.zeros((1, 3)), np.zeros((1, 3)), **imu_opts)
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{config_path}: {exc}") from None
     given = {**cfg, **{key: v for key, v in flags.items() if v is not None}}
@@ -405,8 +406,8 @@ def eval_group():
 
 
 def _read_gammas(path) -> AdaptiveParams:
-    """The ``--gammas`` JSON; a missing or bad value fails naming the file and key."""
-    data = json.loads(Path(path).read_text())
+    """The ``--gammas`` JSON; bad JSON or a missing or bad value fails naming the file."""
+    data = read_json_object(path, "a thresholds file")
     values = {}
     for key in ("gamma_walk", "gamma_run"):
         if key not in data:

@@ -16,18 +16,38 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 
 GRAVITY = 9.80665
+# largest accepted deviation of a timestamp step from the nominal period, per period
+JITTER_TOLERANCE = 0.1
 
 
 def gravity_vector(magnitude: float = GRAVITY) -> np.ndarray:
     """Gravity acceleration vector in the z-up navigation frame."""
     return np.array([0.0, 0.0, -magnitude])
+
+
+def read_json_object(path, what: str, parse=dict):
+    """``parse`` of a JSON file's top-level object, which should be ``what``.
+
+    Bad JSON, a non-object or a missing key fails naming the file."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not {what} (expected a JSON object)")
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: not {what} (missing field '{exc.args[0]}')") from None
 
 
 class StepTooLargeError(ValueError):
@@ -119,9 +139,6 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
-    def normalized(self) -> "Quaternion":
-        return Quaternion.from_array(_quat_normalize(self.as_array()))
-
 
 def quat_to_rotation(q: Quaternion) -> np.ndarray:
     """Rotation matrix of ``q`` (normalized internally), mapping body to nav."""
@@ -212,15 +229,14 @@ class ImuStream:
     """Ordered 6-axis IMU samples at a nominal fixed rate (125 Hz default).
 
     Timestamps must be strictly increasing with jitter relative to the
-    nominal period below ``jitter_tol`` (fraction of dt). Integration always
-    uses the measured per-sample dt, not the nominal one.
+    nominal period below ``JITTER_TOLERANCE`` (fraction of dt). Integration
+    always uses the measured per-sample dt, not the nominal one.
     """
 
     t: np.ndarray
     accel: np.ndarray
     gyro: np.ndarray
     rate_hz: float = 125.0
-    jitter_tol: float = 0.1
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=np.float64)
@@ -239,10 +255,10 @@ class ImuStream:
             dts = np.diff(t)
             if np.any(dts <= 0):
                 raise ValueError("timestamps must be strictly increasing")
-            if np.max(np.abs(dts - self.dt)) > self.jitter_tol * self.dt:
+            if np.max(np.abs(dts - self.dt)) > JITTER_TOLERANCE * self.dt:
                 raise ValueError(
                     "timestamp jitter exceeds tolerance "
-                    f"({self.jitter_tol:.0%} of the nominal period)"
+                    f"({JITTER_TOLERANCE:.0%} of the nominal period)"
                 )
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "accel", a)
@@ -259,7 +275,7 @@ class ImuStream:
     def __getitem__(self, key) -> "ImuStream":
         if not isinstance(key, slice):
             raise TypeError("index streams with slices; read one sample from .t, .accel and .gyro")
-        return ImuStream(self.t[key], self.accel[key], self.gyro[key], self.rate_hz, self.jitter_tol)
+        return ImuStream(self.t[key], self.accel[key], self.gyro[key], self.rate_hz)
 
 
 @dataclass(frozen=True, eq=False)

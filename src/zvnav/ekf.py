@@ -48,18 +48,17 @@ from .core import (
 
 @dataclass(frozen=True, eq=False)
 class EkfConfig:
-    """Filter noise levels, gravity and initial state.
+    """Filter noise levels, gravity and initial uncertainty.
 
-    The detector's fixed tuning sigmas double as the default process-noise
-    scale; none of these defaults claim to be measured sensor statistics.
+    The filter always starts at rest at the origin. The detector's fixed
+    tuning sigmas double as the default process-noise scale; none of these
+    defaults claim to be measured sensor statistics.
     """
 
     sigma_accel: float = 0.01 * GRAVITY
     sigma_gyro: float = 0.00174
     sigma_zupt: float = 0.01
     g: np.ndarray = field(default_factory=gravity_vector)
-    p0: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    v0: np.ndarray = field(default_factory=lambda: np.zeros(3))
     init_pos_std: float = 1e-3
     init_vel_std: float = 1e-2
     init_att_std: float = 1e-2
@@ -70,8 +69,6 @@ class EkfConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         object.__setattr__(self, "g", np.asarray(self.g, dtype=np.float64))
-        object.__setattr__(self, "p0", np.asarray(self.p0, dtype=np.float64))
-        object.__setattr__(self, "v0", np.asarray(self.v0, dtype=np.float64))
 
     def initial_covariance(self) -> np.ndarray:
         d = np.concatenate([
@@ -146,7 +143,7 @@ def zupt_update(p, v, q, P, sigma_zupt):
     return p_new, v_new, q_new, P_new
 
 
-def _ins_loop(t, accel, gyro, zv, p0, v0, q0, P0, g, sig_a, sig_g, sig_z):
+def _ins_loop(t, accel, gyro, zv, q0, P0, g, sig_a, sig_g, sig_z):
     # gyro and dt become floats one sample at a time: whole-array .tolist()
     # copies leave ~2 MB of freed Python objects behind, raising peak RSS
     n = t.shape[0]
@@ -154,7 +151,7 @@ def _ins_loop(t, accel, gyro, zv, p0, v0, q0, P0, g, sig_a, sig_g, sig_z):
     zv = zv.tolist()
     g = g.tolist()
     out = np.empty((n, 10))
-    p, v, q, P = tuple(p0.tolist()), tuple(v0.tolist()), tuple(q0.tolist()), P0
+    p, v, q, P = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), tuple(q0.tolist()), P0
     if zv[0]:
         p, v, q, P = zupt_update(p, v, q, P, sig_z)
     out[0] = p + v + q
@@ -240,7 +237,7 @@ def run_ins(stream: ImuStream, zv, cfg: EkfConfig | None = None) -> Trajectory:
     q0 = level_from_accel(mean_accel)
     pos, vel, quat = _ins_loop(
         stream.t, stream.accel, stream.gyro, zv,
-        cfg.p0, cfg.v0, q0.as_array(), cfg.initial_covariance(),
+        q0.as_array(), cfg.initial_covariance(),
         cfg.g, cfg.sigma_accel, cfg.sigma_gyro, cfg.sigma_zupt,
     )
     return Trajectory(stream.t.copy(), pos, vel, quat, zv.copy())

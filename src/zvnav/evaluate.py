@@ -152,8 +152,7 @@ def per_marker_errors(traj: Trajectory, triggers: TriggerLog,
 def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
               detector: DetectorParams, ekf_cfg: EkfConfig,
               triggers: TriggerLog, marker_map: MarkerMap,
-              class_truth=None, smooth_window: int = 15,
-              smooth_threshold: float = 0.2) -> TrialReport:
+              class_truth=None) -> TrialReport:
     """Classify, detect with three thresholding methods, run the INS, score.
 
     ``class_truth`` (per-sample class ids, optional) is compared against the
@@ -166,7 +165,7 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
         if class_truth.shape != (len(stream),):
             raise ValueError(f"class_truth holds {class_truth.size} labels for "
                              f"{len(stream)} samples; it must hold one per sample")
-    labels, binary = classify_motion(model, stream, smooth_window, smooth_threshold)
+    labels, binary = classify_motion(model, stream)
 
     zv_by_method = {
         METHOD_WALK: detect(stream, replace(detector, gamma=gammas.gamma_walk)),

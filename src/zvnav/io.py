@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ImuStream, gravity_vector
+from .core import ImuStream, gravity_vector, read_json_object
 from .detector import DetectorParams
 from .ekf import EkfConfig, Trajectory
 from .evaluate import TriggerLog
@@ -90,7 +90,7 @@ def write_imu_csv(path, stream: ImuStream) -> None:
     _write_csv(path, "imu", stream.t, stream.accel, stream.gyro)
 
 
-def read_imu_csv(path, rate_hz: float | None = None, jitter_tol: float = 0.1) -> ImuStream:
+def read_imu_csv(path, rate_hz: float | None = None) -> ImuStream:
     t, accel, gyro = _read_csv(path, "imu")
     if t.shape[0] < 1:
         raise ValueError(f"{path}: empty IMU log")
@@ -100,7 +100,7 @@ def read_imu_csv(path, rate_hz: float | None = None, jitter_tol: float = 0.1) ->
     if rate_hz is None:
         rate_hz = 1.0 / float(np.median(dts)) if t.shape[0] >= 2 else 125.0
     try:
-        return ImuStream(t, accel, gyro, rate_hz, jitter_tol)
+        return ImuStream(t, accel, gyro, rate_hz)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -165,7 +165,10 @@ def write_marker_map_json(path, marker_map: MarkerMap) -> None:
 
 
 def read_marker_map_json(path) -> MarkerMap:
-    data = json.loads(Path(path).read_text())
+    return read_json_object(path, "a marker map", _marker_map_from_dict)
+
+
+def _marker_map_from_dict(data: dict) -> MarkerMap:
     ids = tuple(int(m["id"]) for m in data["markers"])
     pos = np.array([m["pos"] for m in data["markers"]], dtype=np.float64)
     return MarkerMap(ids, pos, float(data["loop_closure_m"]), float(data["path_length_m"]))
@@ -173,7 +176,10 @@ def read_marker_map_json(path) -> MarkerMap:
 
 def read_survey_json(path) -> list[list[MarkerObservation]]:
     """Stations with their marker observations, in file order."""
-    data = json.loads(Path(path).read_text())
+    return read_json_object(path, "a survey", _stations_from_dict)
+
+
+def _stations_from_dict(data: dict) -> list[list[MarkerObservation]]:
     stations = []
     for st in data["stations"]:
         sid = int(st["station_id"])

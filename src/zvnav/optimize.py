@@ -38,9 +38,8 @@ class OptimizationFailedError(RuntimeError):
     """Every grid threshold scored zero; the sweep found no operating point."""
 
 
-def default_gamma_grid(points: int = GAMMA_GRID_POINTS, lo: float = GAMMA_GRID_LO,
-                       hi: float = GAMMA_GRID_HI) -> np.ndarray:
-    return np.logspace(np.log10(lo), np.log10(hi), points)
+def default_gamma_grid(points: int = GAMMA_GRID_POINTS) -> np.ndarray:
+    return np.logspace(np.log10(GAMMA_GRID_LO), np.log10(GAMMA_GRID_HI), points)
 
 
 @dataclass(frozen=True, eq=False)

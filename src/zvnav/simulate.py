@@ -121,12 +121,10 @@ def gait_preset(motion: str, heading: float = 0.0, duration: float = 60.0) -> Ga
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive measurement noise and constant biases, seeded."""
+    """Additive white measurement noise, seeded."""
 
     accel_noise_std: float = 0.02
     gyro_noise_std: float = 0.002
-    accel_bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    gyro_bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
     seed: int = 0
 
     def __post_init__(self):
@@ -152,22 +150,14 @@ class GaitTruth:
 
 
 def piecewise_profile(segments) -> list[tuple[GaitProfile, float]]:
-    """Normalize a segment description into (profile, duration) pairs.
+    """Check a list of (GaitProfile, duration) segments; durations become floats.
 
-    Accepts dicts {"motion_class": ..., "duration": ...}, (name, duration)
-    tuples or (GaitProfile, duration) tuples. Segment switches take effect
-    at the first stance midpoint at or after the requested boundary, so
-    transitions never occur mid-swing.
+    Segment switches take effect at the first stance midpoint at or after
+    the requested boundary, so transitions never occur mid-swing.
     """
     out: list[tuple[GaitProfile, float]] = []
-    for seg in segments:
-        if isinstance(seg, dict):
-            prof = gait_preset(seg["motion_class"])
-            dur = float(seg["duration"])
-        else:
-            first, dur = seg
-            prof = first if isinstance(first, GaitProfile) else gait_preset(first)
-            dur = float(dur)
+    for prof, dur in segments:
+        dur = float(dur)
         if dur <= 0:
             raise ValueError("segment durations must be positive")
         out.append((prof, dur))
@@ -198,8 +188,8 @@ def simulate(profile, noise: NoiseModel | None = None,
 
     The trial starts at rest at a stance midpoint. Measured specific force is
     the analytic acceleration minus gravity rotated into the body frame, plus
-    bias, stance tremor and noise; the gyro is the exact body rate of the
-    analytic attitude. Deterministic under a fixed seed.
+    stance tremor and noise; the gyro is the exact body rate of the analytic
+    attitude. Deterministic under a fixed seed.
     """
     noise = noise or NoiseModel()
     if isinstance(profile, GaitProfile):
@@ -364,11 +354,11 @@ def simulate(profile, noise: NoiseModel | None = None,
     ])
 
     meas_accel = (
-        accel_true + tremor_accel + np.asarray(noise.accel_bias)
+        accel_true + tremor_accel
         + rng.normal(0.0, noise.accel_noise_std, (n, 3))
     )
     meas_gyro = (
-        gyro_true + tremor_gyro + impact_gyro_sig + np.asarray(noise.gyro_bias)
+        gyro_true + tremor_gyro + impact_gyro_sig
         + rng.normal(0.0, noise.gyro_noise_std, (n, 3))
     )
 

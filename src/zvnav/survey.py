@@ -20,7 +20,9 @@ import numpy as np
 from .core import Se3Transform, se3_compose
 
 DEFAULT_TAG_SIDE = 0.28
-DEFAULT_EDGE_FRACTIONS = (1.0 / 3.0, 2.0 / 3.0)
+# survey points along each tag edge, as fractions of the side length
+EDGE_NEAR = 1.0 / 3.0
+EDGE_FAR = 2.0 / 3.0
 
 
 class RankDeficientError(ValueError):
@@ -72,20 +74,18 @@ class AlignmentResult:
     rms: float
 
 
-def tag_template(side: float = DEFAULT_TAG_SIDE,
-                 fractions: tuple[float, float] = DEFAULT_EDGE_FRACTIONS) -> np.ndarray:
+def tag_template(side: float = DEFAULT_TAG_SIDE) -> np.ndarray:
     """Canonical tag-frame survey points: corner origin plus two per edge.
 
     The exact positions along the edges only affect conditioning, not
-    correctness, so they are configurable.
+    correctness.
     """
-    f1, f2 = fractions
     return np.array([
         [0.0, 0.0, 0.0],
-        [f1 * side, 0.0, 0.0],
-        [f2 * side, 0.0, 0.0],
-        [0.0, f1 * side, 0.0],
-        [0.0, f2 * side, 0.0],
+        [EDGE_NEAR * side, 0.0, 0.0],
+        [EDGE_FAR * side, 0.0, 0.0],
+        [0.0, EDGE_NEAR * side, 0.0],
+        [0.0, EDGE_FAR * side, 0.0],
     ])
 
 
@@ -148,17 +148,17 @@ def _chain_positions(pairwise: Sequence[Se3Transform]) -> np.ndarray:
 
 
 def build_map(pairwise: Sequence[Se3Transform],
-              reverse: Sequence[Se3Transform] | None = None,
-              marker_ids: Sequence[int] | None = None) -> MarkerMap:
+              reverse: Sequence[Se3Transform] | None = None) -> MarkerMap:
     """Compound a chain of adjacent-marker transforms into a marker map.
 
     ``pairwise[i]`` maps marker-i coordinates into marker-(i+1) coordinates;
-    marker i+1's position is the composed chain of inverses applied to the
-    origin. When an independently surveyed ``reverse`` chain of the same
-    shape is given, the loop-closure error is the distance between the two
-    far-end estimates; the forward positions are always the ones kept. The
-    path length covers the surveyed loop (both directions when a reverse
-    chain exists).
+    the markers are numbered 0, 1, ... along the chain, and marker i+1's
+    position is the composed chain of inverses applied to the origin. When
+    an independently surveyed ``reverse`` chain of the same shape is given,
+    the loop-closure error is the distance between the two far-end
+    estimates; the forward positions are always the ones kept. The path
+    length covers the surveyed loop (both directions when a reverse chain
+    exists).
     """
     pairwise = list(pairwise)
     if len(pairwise) < 1:
@@ -174,7 +174,4 @@ def build_map(pairwise: Sequence[Se3Transform],
         rpos = _chain_positions(reverse)
         closure = float(np.linalg.norm(positions[-1] - rpos[-1]))
         path_length += float(np.linalg.norm(np.diff(rpos, axis=0), axis=1).sum())
-    ids = tuple(marker_ids) if marker_ids is not None else tuple(range(len(positions)))
-    if len(ids) != positions.shape[0]:
-        raise ValueError("marker_ids must name every chained marker")
-    return MarkerMap(ids, positions, closure, path_length)
+    return MarkerMap(tuple(range(len(positions))), positions, closure, path_length)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ImuStream
+from .core import ImuStream, read_json_object
 
 DEFAULT_WINDOW_LEN = 125
 DEFAULT_SMOOTH_WINDOW = 15
@@ -106,17 +106,19 @@ def _smo(K, y, C, tol, max_iter):
 
     Maximizes sum(alpha) - 0.5 aQa with 0 <= alpha <= C and sum(alpha*y) = 0.
     Returns raw alphas, the bias, the final KKT violation and the iteration
-    count. grad tracks d/dalpha of the dual objective (starts at 1).
+    count. grad tracks d/dalpha of the dual objective (starts at 1). The
+    loop exits only at its head or before it changes alpha, so the final
+    masks and y*grad also give the bias.
     """
     n = y.shape[0]
     alpha = np.zeros(n)
     grad = np.ones(n)
     it = 0
-    while it < max_iter:
+    while True:
         yg = y * grad
         up = ((y > 0.0) & (alpha < C)) | ((y < 0.0) & (alpha > 0.0))
         lo = ((y > 0.0) & (alpha > 0.0)) | ((y < 0.0) & (alpha < C))
-        if not up.any() or not lo.any():
+        if it >= max_iter or not up.any() or not lo.any():
             break
         up_vals = np.where(up, yg, -np.inf)
         lo_vals = np.where(lo, yg, np.inf)
@@ -143,16 +145,8 @@ def _smo(K, y, C, tol, max_iter):
         it += 1
 
     # bias from the final violating-pair criteria; also the KKT residual
-    bmax = -np.inf
-    bmin = np.inf
-    for k in range(n):
-        ygk = y[k] * grad[k]
-        if (y[k] > 0.0 and alpha[k] < C) or (y[k] < 0.0 and alpha[k] > 0.0):
-            if ygk > bmax:
-                bmax = ygk
-        if (y[k] > 0.0 and alpha[k] > 0.0) or (y[k] < 0.0 and alpha[k] < C):
-            if ygk < bmin:
-                bmin = ygk
+    bmax = np.max(yg, where=up, initial=-np.inf)
+    bmin = np.min(yg, where=lo, initial=np.inf)
     if np.isinf(bmax) and np.isinf(bmin):
         bias = 0.0
         resid = 0.0
@@ -211,12 +205,11 @@ class SvmModel:
 
 def train(windows: np.ndarray, labels, kernel_width: float | None = None,
           c_reg: float = 1.0, norm_stats: NormStats | None = None,
-          window_len: int | None = None, tol: float = KKT_TOLERANCE,
-          max_iter: int | None = None) -> SvmModel:
+          window_len: int | None = None) -> SvmModel:
     """Train a one-vs-one RBF SVM on labeled feature windows.
 
     ``kernel_width`` defaults to the inverse feature dimension. Each pair is
-    solved to KKT tolerance ``tol``; the signed dual coefficients per pair
+    solved to KKT tolerance ``KKT_TOLERANCE``; the signed dual coefficients per pair
     stay in [-C, C] and sum to zero. Training accuracy is stored on the model.
     """
     X = np.asarray(windows, dtype=np.float64)
@@ -237,8 +230,7 @@ def train(windows: np.ndarray, labels, kernel_width: float | None = None,
         kernel_width = 1.0 / d
     if c_reg <= 0:
         raise ValueError("c_reg must be positive")
-    if max_iter is None:
-        max_iter = max(200 * X.shape[0], 100_000)
+    max_iter = max(200 * X.shape[0], 100_000)
 
     pairs = []
     for a, b in combinations(classes, 2):
@@ -250,8 +242,8 @@ def train(windows: np.ndarray, labels, kernel_width: float | None = None,
                 f"classes {a}/{b}: all training vectors identical across labels"
             )
         Kmat = rbf_kernel(Xp, Xp, kernel_width)
-        alpha, bias, resid, _ = _smo(Kmat, yp, float(c_reg), float(tol), max_iter)
-        if resid > tol:
+        alpha, bias, resid, _ = _smo(Kmat, yp, float(c_reg), KKT_TOLERANCE, max_iter)
+        if resid > KKT_TOLERANCE:
             raise TrainingFailedError(
                 f"classes {a}/{b}: solver stalled with KKT violation {resid:.3g}"
             )
@@ -396,8 +388,7 @@ def classify_stream(model: SvmModel, stream: ImuStream,
 
 
 def classify_motion(model: SvmModel, stream: ImuStream,
-                    smooth_window: int = DEFAULT_SMOOTH_WINDOW,
-                    smooth_threshold: float = DEFAULT_SMOOTH_THRESHOLD
+                    smooth_window: int = DEFAULT_SMOOTH_WINDOW
                     ) -> tuple[LabelStream, np.ndarray]:
     """Labels for a stream plus the per-sample walk/run switch for the detector.
 
@@ -408,7 +399,7 @@ def classify_motion(model: SvmModel, stream: ImuStream,
     if len(model.classes) != 2:
         raise ValueError("adaptive thresholding needs a binary (two-class) model; "
                          f"this one has {len(model.classes)} classes")
-    labels = classify_stream(model, stream, smooth_window, smooth_threshold)
+    labels = classify_stream(model, stream, smooth_window)
     return labels, (labels.smoothed == model.classes[1]).astype(np.int64)
 
 
@@ -463,10 +454,4 @@ def save_model(model: SvmModel, path) -> None:
 
 
 def load_model(path) -> SvmModel:
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: not an SVM model (expected a JSON object)")
-    try:
-        return model_from_dict(data)
-    except KeyError as exc:
-        raise ValueError(f"{path}: not an SVM model (missing field '{exc.args[0]}')") from None
+    return read_json_object(path, "an SVM model", model_from_dict)

@@ -3,31 +3,32 @@ import math
 import numpy as np
 import pytest
 
-import zvnav
 from zvnav.detector import AdaptiveParams, DetectorParams
+from zvnav.ekf import EkfConfig
 from zvnav.optimize import FBetaConfig, MocapStream, RUN_BETA_SQ, RUN_SPEED_THRESHOLD, optimize_gamma
+from zvnav.simulate import CLASS_IDS, CLASS_NAMES, NoiseModel, gait_preset, simulate
 from zvnav.svm import NormStats, build_windows, train
 
-WALK = zvnav.CLASS_IDS["walk"]
-RUN = zvnav.CLASS_IDS["run"]
+WALK = CLASS_IDS["walk"]
+RUN = CLASS_IDS["run"]
 
 
 def out_and_back(motion, total_s):
     """Out-and-back trial segments: half outbound, half after a reversal."""
     half = total_s / 2.0
     return [
-        (zvnav.gait_preset(motion, heading=0.0), half),
-        (zvnav.gait_preset(motion, heading=math.pi), half),
+        (gait_preset(motion, heading=0.0), half),
+        (gait_preset(motion, heading=math.pi), half),
     ]
 
 
 def mixed_segments():
     """Alternating walk/run out-and-back trial, turns during walking."""
     return [
-        (zvnav.gait_preset("walk", heading=0.0), 15.0),
-        (zvnav.gait_preset("run", heading=0.0), 15.0),
-        (zvnav.gait_preset("walk", heading=math.pi), 15.0),
-        (zvnav.gait_preset("run", heading=math.pi), 14.0),
+        (gait_preset("walk", heading=0.0), 15.0),
+        (gait_preset("run", heading=0.0), 15.0),
+        (gait_preset("walk", heading=math.pi), 15.0),
+        (gait_preset("run", heading=math.pi), 14.0),
     ]
 
 
@@ -37,12 +38,12 @@ def mocap_of(truth, rate_hz=125.0):
 
 @pytest.fixture(scope="session")
 def walk_calibration():
-    return zvnav.simulate(out_and_back("walk", 64.0), zvnav.NoiseModel(seed=31))
+    return simulate(out_and_back("walk", 64.0), NoiseModel(seed=31))
 
 
 @pytest.fixture(scope="session")
 def run_calibration():
-    return zvnav.simulate(out_and_back("run", 64.0), zvnav.NoiseModel(seed=32))
+    return simulate(out_and_back("run", 64.0), NoiseModel(seed=32))
 
 
 @pytest.fixture(scope="session")
@@ -75,19 +76,19 @@ def adaptive_setup(binary_model, optimized_gammas):
         "model": binary_model,
         "gammas": AdaptiveParams(optimized_gammas["walk"], optimized_gammas["run"]),
         "detector": DetectorParams(),
-        "ekf": zvnav.EkfConfig(),
+        "ekf": EkfConfig(),
     }
 
 
 @pytest.fixture(scope="session")
 def six_class_streams():
     train_streams = {
-        m: zvnav.simulate(zvnav.gait_preset(m, duration=62.0), zvnav.NoiseModel(seed=500 + i))[0]
-        for i, m in enumerate(zvnav.CLASS_NAMES)
+        m: simulate(gait_preset(m, duration=62.0), NoiseModel(seed=500 + i))[0]
+        for i, m in enumerate(CLASS_NAMES)
     }
     test_streams = {
-        m: zvnav.simulate(zvnav.gait_preset(m, duration=62.0), zvnav.NoiseModel(seed=600 + i))[0]
-        for i, m in enumerate(zvnav.CLASS_NAMES)
+        m: simulate(gait_preset(m, duration=62.0), NoiseModel(seed=600 + i))[0]
+        for i, m in enumerate(CLASS_NAMES)
     }
     return train_streams, test_streams
 
@@ -97,7 +98,7 @@ def class_windows(streams, norm, per_class, stride):
     for name, stream in streams.items():
         w = build_windows(stream, 125, stride=stride, norm=norm)[:per_class]
         xs.append(w)
-        ys.append(np.full(w.shape[0], zvnav.CLASS_IDS[name]))
+        ys.append(np.full(w.shape[0], CLASS_IDS[name]))
     return np.vstack(xs), np.concatenate(ys)
 
 

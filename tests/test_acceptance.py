@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import zvnav
 from zvnav.cli import main as cli_main
+from zvnav.core import Quaternion
 from zvnav.detector import DetectorParams, per_sample_statistics
 from zvnav.ekf import EkfConfig, propagate, run_ins, zupt_update
 from zvnav.evaluate import marker_layout_from_truth, run_trial
@@ -24,6 +24,7 @@ from zvnav.optimize import (
     f_beta,
     optimize_gamma,
 )
+from zvnav.simulate import NoiseModel, gait_preset, simulate
 from zvnav.survey import build_map, tag_template, umeyama_align
 from zvnav.svm import build_windows, confusion_matrix, predict_batch, smooth, train, NormStats
 
@@ -41,8 +42,8 @@ def report(criterion, ok, detail):
 
 
 def test_criterion_01_detector_optimizer_closed_loop():
-    stream, truth = zvnav.simulate(zvnav.gait_preset("walk", duration=60.0),
-                                   zvnav.NoiseModel(seed=7))
+    stream, truth = simulate(gait_preset("walk", duration=60.0),
+                                   NoiseModel(seed=7))
     start = time.perf_counter()
     gamma, curve = optimize_gamma(stream, MocapStream(truth.t, truth.pos, 125.0),
                                   DetectorParams(), FBetaConfig(beta_sq=0.16, speed_threshold=0.1))
@@ -59,10 +60,10 @@ def test_criterion_02_threshold_ordering_over_seeds():
     wins = 0
     pairs = []
     for seed in range(10):
-        sw, tw = zvnav.simulate(zvnav.gait_preset("walk", duration=30.0),
-                                zvnav.NoiseModel(seed=1000 + seed))
-        sr, tr = zvnav.simulate(zvnav.gait_preset("run", duration=30.0),
-                                zvnav.NoiseModel(seed=2000 + seed))
+        sw, tw = simulate(gait_preset("walk", duration=30.0),
+                                NoiseModel(seed=1000 + seed))
+        sr, tr = simulate(gait_preset("run", duration=30.0),
+                                NoiseModel(seed=2000 + seed))
         gw, _ = optimize_gamma(sw, MocapStream(tw.t, tw.pos, 125.0), DetectorParams(),
                                FBetaConfig())
         gr, _ = optimize_gamma(sr, MocapStream(tr.t, tr.pos, 125.0), DetectorParams(),
@@ -76,8 +77,8 @@ def test_criterion_02_threshold_ordering_over_seeds():
 
 
 def test_criterion_03_zupt_efficacy():
-    stream, truth = zvnav.simulate(zvnav.gait_preset("walk", duration=60.0),
-                                   zvnav.NoiseModel(seed=9))
+    stream, truth = simulate(gait_preset("walk", duration=60.0),
+                                   NoiseModel(seed=9))
     path = truth.path_length()
     aided = run_ins(stream, truth.stance, EkfConfig())
     err_aided = float(np.linalg.norm(aided.pos[-1, :2] - truth.pos[-1, :2]))
@@ -89,8 +90,8 @@ def test_criterion_03_zupt_efficacy():
 
 
 def test_criterion_04_ekf_numerics_over_1e4_steps():
-    stream, truth = zvnav.simulate(zvnav.gait_preset("walk", duration=80.0),
-                                   zvnav.NoiseModel(seed=12))
+    stream, truth = simulate(gait_preset("walk", duration=80.0),
+                                   NoiseModel(seed=12))
     assert len(stream) == 10000
     cfg = EkfConfig()
     p, v, q = np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0])
@@ -105,7 +106,7 @@ def test_criterion_04_ekf_numerics_over_1e4_steps():
             p, v, q, P = zupt_update(p, v, q, P, cfg.sigma_zupt)
         worst_sym = max(worst_sym, float(np.max(np.abs(P - P.T))))
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(P)[0]))
-        worst_norm = max(worst_norm, abs(zvnav.Quaternion.from_array(q).norm - 1.0))
+        worst_norm = max(worst_norm, abs(Quaternion.from_array(q).norm - 1.0))
     ok = worst_sym < 1e-9 and worst_eig > -1e-12 and worst_norm < 1e-9
     report(4, ok, f"max asymmetry={worst_sym:.2e} < 1e-9, "
                   f"min eigenvalue={worst_eig:.2e} > -1e-12, "
@@ -131,13 +132,13 @@ def test_criterion_05_f_beta_unit_exactness():
 def test_criterion_06_svm_binary_and_six_class(six_class_model):
     norm_streams = {}
     for name, seed in (("walk", 21), ("run", 22)):
-        norm_streams[name], _ = zvnav.simulate(zvnav.gait_preset(name, duration=62.0),
-                                               zvnav.NoiseModel(seed=seed))
+        norm_streams[name], _ = simulate(gait_preset(name, duration=62.0),
+                                               NoiseModel(seed=seed))
     norm = NormStats.from_streams(list(norm_streams.values()))
 
     def windows(name, seed):
-        stream, _ = zvnav.simulate(zvnav.gait_preset(name, duration=62.0),
-                                   zvnav.NoiseModel(seed=seed))
+        stream, _ = simulate(gait_preset(name, duration=62.0),
+                                   NoiseModel(seed=seed))
         return build_windows(stream, 125, stride=14, norm=norm)[:500]
 
     x_train = np.vstack([windows("walk", 21), windows("run", 22)])
@@ -210,7 +211,7 @@ def test_criterion_09_adaptive_end_to_end(adaptive_setup):
     setup = adaptive_setup
 
     def trial(segments, seed):
-        stream, truth = zvnav.simulate(segments, zvnav.NoiseModel(seed=seed))
+        stream, truth = simulate(segments, NoiseModel(seed=seed))
         marker_map, triggers = marker_layout_from_truth(truth, every=10)
         return run_trial(stream, setup["model"], setup["gammas"], setup["detector"],
                          setup["ekf"], triggers, marker_map, class_truth=truth.labels)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import zvnav
 from zvnav import io as zio
 from zvnav.cli import main
+from zvnav.svm import save_model, train
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -239,6 +239,13 @@ class TestSurvey:
         out = tmp_path / "map.json"
         rerun_identical(["survey", "map", "--observations", str(path), "--out", str(out)], [out])
 
+    def test_observations_without_their_key(self, workdir, tmp_path):
+        # a marker map handed over in place of a survey
+        markers = workdir / "markers.json"
+        line = cli_error(["survey", "map", "--observations", str(markers),
+                          "--out", str(tmp_path / "map.json")])
+        assert line == f"Error: {markers}: not a survey (missing field 'stations')"
+
 
 class TestInsRun:
     def test_fixed_threshold(self, workdir, tmp_path):
@@ -260,7 +267,7 @@ class TestInsRun:
         rng = np.random.default_rng(4)
         x = np.vstack([rng.normal(c, 0.3, (10, 30)) for c in (-1.0, 0.0, 1.0)])
         model = tmp_path / "three.json"
-        zvnav.save_model(zvnav.train(x, np.repeat([0, 1, 2], 10)), model)
+        save_model(train(x, np.repeat([0, 1, 2], 10)), model)
         line = cli_error(["ins", "run", "--imu", str(workdir / "mixed.csv"), "--adaptive",
                           "--model", str(model), "--gamma-walk", "340000",
                           "--gamma-run", "6900000", "--out", str(tmp_path / "t.csv")])
@@ -278,6 +285,7 @@ class TestInsRun:
         ("window = 1", "W must be at least 2"),
         ("sigma_zupt = -1", "sigma_zupt must be positive"),
         ("window = 1e400", "cannot convert float infinity to integer"),
+        ("rate_hz = -1", "rate_hz must be positive"),
     ])
     def test_config_value_error_names_the_file(self, workdir, tmp_path, setting, message):
         cfg = tmp_path / "cfg.txt"
@@ -327,6 +335,25 @@ class TestEvalTrial:
         args[args.index("--gammas") + 1] = str(gammas)
         line = cli_error(args)
         assert line == f"Error: {gammas}: 'gamma_run' must be a positive number, not 'x'"
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"gamma_walk": 3.4e5,', "not valid JSON (Expecting property name"),
+        ("7", "not a thresholds file (expected a JSON object)"),
+    ])
+    def test_gammas_not_a_json_object(self, workdir, tmp_path, text, message):
+        gammas = tmp_path / "gammas.json"
+        gammas.write_text(text)
+        args = self.args(workdir, tmp_path / "report.json")
+        args[args.index("--gammas") + 1] = str(gammas)
+        assert cli_error(args).startswith(f"Error: {gammas}: {message}")
+
+    def test_markers_without_their_key(self, workdir, tmp_path):
+        markers = tmp_path / "x.json"
+        markers.write_text('{"a": 1}')
+        args = self.args(workdir, tmp_path / "report.json")
+        args[args.index("--markers") + 1] = str(markers)
+        line = cli_error(args)
+        assert line == f"Error: {markers}: not a marker map (missing field 'markers')"
 
     def test_truth_shorter_than_the_log(self, workdir, tmp_path):
         truth = tmp_path / "short_truth.csv"

@@ -56,7 +56,7 @@ class TestQuaternion:
 
     @given(unit_quaternions)
     def test_random_quaternions_give_orthonormal_matrices(self, q):
-        assert abs(q.normalized().norm - 1.0) < 1e-12
+        assert abs(q.norm - 1.0) < 1e-12
         R = quat_to_rotation(q)
         assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
         assert abs(np.linalg.det(R) - 1.0) < 1e-12

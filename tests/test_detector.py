@@ -4,8 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import zvnav
-from zvnav.core import GRAVITY, ImuStream
+from zvnav.core import GRAVITY, ImuStream, Quaternion, quat_to_rotation
 from zvnav.detector import (
     AdaptiveParams,
     DetectorParams,
@@ -15,6 +14,7 @@ from zvnav.detector import (
     shoe_statistic,
     shoe_statistics,
 )
+from zvnav.simulate import NoiseModel, gait_preset, simulate
 
 
 def stream_of(accel_rows, gyro_rows, rate=125.0):
@@ -39,7 +39,7 @@ class TestShoeStatistic:
         assert got == pytest.approx(3302.9, abs=0.1)
 
     def test_mid_swing_statistic_is_large(self):
-        stream, truth = zvnav.simulate(zvnav.gait_preset("walk", duration=10.0), zvnav.NoiseModel(seed=0))
+        stream, truth = simulate(gait_preset("walk", duration=10.0), NoiseModel(seed=0))
         stats = shoe_statistics(stream, DetectorParams())
         # the window centred in each swing phase
         moving = ~truth.stance
@@ -71,7 +71,7 @@ class TestShoeStatistic:
         # the gravity direction is the window-mean accel; keep it well defined
         assume(np.linalg.norm(accel.mean(axis=0)) > 1.0)
         base = shoe_statistic(stream_of(accel, gyro), DetectorParams())
-        R = zvnav.quat_to_rotation(zvnav.Quaternion.from_rotvec(phi))
+        R = quat_to_rotation(Quaternion.from_rotvec(phi))
         rotated = shoe_statistic(stream_of(accel @ R.T, gyro @ R.T), DetectorParams())
         assert rotated == pytest.approx(base, abs=1e-9 * max(base, 1.0))
 
@@ -103,7 +103,7 @@ class TestDetect:
             detect(stance_window(3), DetectorParams())
 
     def test_detection_count_monotone_in_gamma(self):
-        stream, _ = zvnav.simulate(zvnav.gait_preset("walk", duration=10.0), zvnav.NoiseModel(seed=3))
+        stream, _ = simulate(gait_preset("walk", duration=10.0), NoiseModel(seed=3))
         counts = []
         prev = None
         for gamma in np.logspace(2, 8, 25):
@@ -116,21 +116,21 @@ class TestDetect:
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_trailing_samples_reuse_last_window(self):
-        stream, _ = zvnav.simulate(zvnav.gait_preset("walk", duration=4.0), zvnav.NoiseModel(seed=4))
+        stream, _ = simulate(gait_preset("walk", duration=4.0), NoiseModel(seed=4))
         params = DetectorParams(gamma=1e5)
         flags = detect(stream, params)
         assert (flags[-4:] == flags[-5]).all()
 
     def test_reference_walk_threshold_accuracy(self):
         # subject-mean walking threshold on a synthetic walk trial
-        stream, truth = zvnav.simulate(zvnav.gait_preset("walk", duration=60.0), zvnav.NoiseModel(seed=7))
+        stream, truth = simulate(gait_preset("walk", duration=60.0), NoiseModel(seed=7))
         flags = detect(stream, DetectorParams(gamma=0.96e5))
         assert np.mean(flags == truth.stance) >= 0.95
 
 
 class TestDetectAdaptive:
     def test_constant_labels_match_fixed(self):
-        stream, _ = zvnav.simulate(zvnav.gait_preset("walk", duration=6.0), zvnav.NoiseModel(seed=5))
+        stream, _ = simulate(gait_preset("walk", duration=6.0), NoiseModel(seed=5))
         ap = AdaptiveParams(gamma_walk=1e4, gamma_run=1e6)
         params = DetectorParams()
         walk_like = detect_adaptive(stream, np.zeros(len(stream), int), params, ap)
@@ -140,7 +140,7 @@ class TestDetectAdaptive:
         assert np.array_equal(run_like, detect(stream, replace(params, gamma=1e6)))
 
     def test_switching_is_exact_per_sample(self):
-        stream, _ = zvnav.simulate(zvnav.gait_preset("run", duration=6.0), zvnav.NoiseModel(seed=6))
+        stream, _ = simulate(gait_preset("run", duration=6.0), NoiseModel(seed=6))
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 2, len(stream))
         ap = AdaptiveParams(gamma_walk=3e5, gamma_run=3e6)
@@ -153,7 +153,7 @@ class TestDetectAdaptive:
         assert np.array_equal(adaptive, expected)
 
     def test_invalid_labels_rejected(self):
-        stream, _ = zvnav.simulate(zvnav.gait_preset("walk", duration=2.0), zvnav.NoiseModel(seed=7))
+        stream, _ = simulate(gait_preset("walk", duration=2.0), NoiseModel(seed=7))
         with pytest.raises(ValueError):
             detect_adaptive(stream, np.full(len(stream), 2), DetectorParams(), AdaptiveParams())
         with pytest.raises(ValueError):
@@ -166,7 +166,7 @@ class TestDetectAdaptive:
 
 class TestPerSampleStatistics:
     def test_matches_single_window_evaluation(self):
-        stream, _ = zvnav.simulate(zvnav.gait_preset("walk", duration=3.0), zvnav.NoiseModel(seed=8))
+        stream, _ = simulate(gait_preset("walk", duration=3.0), NoiseModel(seed=8))
         params = DetectorParams()
         stats = shoe_statistics(stream, params)
         for n in (0, 17, 100, len(stats) - 1):

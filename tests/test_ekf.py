@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import zvnav
-from zvnav.core import GRAVITY, ImuStream, Quaternion
+from zvnav.core import GRAVITY, ImuStream, Quaternion, quat_to_rotation
 from zvnav.ekf import EkfConfig, level_from_accel, propagate, run_ins, zupt_update
+from zvnav.simulate import NoiseModel, gait_preset, simulate
 
 G_UP = np.array([0.0, 0.0, GRAVITY])
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -101,7 +101,7 @@ class TestZuptUpdate:
         state = (np.zeros(3), np.array([0.3, -0.2, 0.1]), q, cfg.initial_covariance())
         _, _, q_out, _ = zupt(state, cfg)
         def yaw_of(qq):
-            R = zvnav.quat_to_rotation(Quaternion.from_array(qq))
+            R = quat_to_rotation(Quaternion.from_array(qq))
             return math.atan2(R[1, 0], R[0, 0])
         assert yaw_of(q_out) == pytest.approx(yaw_of(q), abs=1e-12)
 
@@ -161,7 +161,7 @@ def test_run_ins_is_the_step_kernels_stepped_by_hand(case):
     traj = run_ins(stream, zv, cfg)
     # run_ins levels from the first stationary run, here sample 0 alone
     q0 = level_from_accel(stream.accel[0]).as_array()
-    p, v, q, P = cfg.p0, cfg.v0, q0, cfg.initial_covariance()
+    p, v, q, P = np.zeros(3), np.zeros(3), q0, cfg.initial_covariance()
     rows = []
     for k in range(len(stream)):
         if k > 0:
@@ -183,32 +183,32 @@ class TestLeveling:
         for _ in range(10):
             tilt = rng.normal(size=3) * 0.2
             tilt[2] = 0.0  # roll/pitch only
-            R_true = zvnav.quat_to_rotation(Quaternion.from_rotvec(tilt))
+            R_true = quat_to_rotation(Quaternion.from_rotvec(tilt))
             measured = R_true.T @ G_UP
             q0 = level_from_accel(measured)
-            assert np.allclose(zvnav.quat_to_rotation(q0) @ measured, G_UP, atol=1e-9)
+            assert np.allclose(quat_to_rotation(q0) @ measured, G_UP, atol=1e-9)
 
     def test_degenerate_inputs(self):
         with pytest.raises(ValueError):
             level_from_accel([0.0, 0.0, 0.0])
         q = level_from_accel([0.0, 0.0, -9.81])
-        assert np.allclose(zvnav.quat_to_rotation(q) @ [0, 0, -9.81], [0, 0, 9.81], atol=1e-9)
+        assert np.allclose(quat_to_rotation(q) @ [0, 0, -9.81], [0, 0, 9.81], atol=1e-9)
 
 
 class TestRunIns:
     def test_length_mismatch(self):
-        stream, truth = zvnav.simulate(zvnav.gait_preset("walk", duration=2.0), zvnav.NoiseModel(seed=0))
+        stream, truth = simulate(gait_preset("walk", duration=2.0), NoiseModel(seed=0))
         with pytest.raises(ValueError):
             run_ins(stream, truth.stance[:-1], EkfConfig())
 
     def test_walking_with_oracle_flags_below_one_percent(self):
-        stream, truth = zvnav.simulate(zvnav.gait_preset("walk", duration=60.0), zvnav.NoiseModel(seed=9))
+        stream, truth = simulate(gait_preset("walk", duration=60.0), NoiseModel(seed=9))
         traj = run_ins(stream, truth.stance, EkfConfig())
         err = np.linalg.norm(traj.pos[-1, :2] - truth.pos[-1, :2])
         assert err < 0.01 * truth.path_length()
 
     def test_disabling_zupt_is_far_worse(self):
-        stream, truth = zvnav.simulate(zvnav.gait_preset("walk", duration=60.0), zvnav.NoiseModel(seed=9))
+        stream, truth = simulate(gait_preset("walk", duration=60.0), NoiseModel(seed=9))
         aided = run_ins(stream, truth.stance, EkfConfig())
         err_aided = np.linalg.norm(aided.pos[-1, :2] - truth.pos[-1, :2])
         with pytest.warns(UserWarning, match="first second"):
@@ -227,20 +227,20 @@ class TestRunIns:
         assert np.linalg.norm(traj.pos[-1]) < 1e-3
 
     def test_zero_noise_discretization_error(self):
-        noise = zvnav.NoiseModel(accel_noise_std=0.0, gyro_noise_std=0.0, seed=1)
-        stream, truth = zvnav.simulate(zvnav.gait_preset("walk", duration=60.0), noise, rate_hz=250.0)
+        noise = NoiseModel(accel_noise_std=0.0, gyro_noise_std=0.0, seed=1)
+        stream, truth = simulate(gait_preset("walk", duration=60.0), noise, rate_hz=250.0)
         traj = run_ins(stream, truth.stance, EkfConfig())
         err = np.linalg.norm(traj.pos[-1, :2] - truth.pos[-1, :2])
         assert err < 0.001 * truth.path_length()
 
     def test_quaternion_norm_drift(self):
-        stream, truth = zvnav.simulate(zvnav.gait_preset("run", duration=20.0), zvnav.NoiseModel(seed=4))
+        stream, truth = simulate(gait_preset("run", duration=20.0), NoiseModel(seed=4))
         traj = run_ins(stream, truth.stance, EkfConfig())
         norms = np.linalg.norm(traj.quat, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-9
 
     def test_bit_identical_reruns(self):
-        stream, truth = zvnav.simulate(zvnav.gait_preset("walk", duration=10.0), zvnav.NoiseModel(seed=5))
+        stream, truth = simulate(gait_preset("walk", duration=10.0), NoiseModel(seed=5))
         a = run_ins(stream, truth.stance, EkfConfig())
         b = run_ins(stream, truth.stance, EkfConfig())
         assert np.array_equal(a.pos, b.pos)
@@ -248,6 +248,6 @@ class TestRunIns:
         assert np.array_equal(a.quat, b.quat)
 
     def test_trajectory_accessors(self):
-        stream, truth = zvnav.simulate(zvnav.gait_preset("walk", duration=2.0), zvnav.NoiseModel(seed=6))
+        stream, truth = simulate(gait_preset("walk", duration=2.0), NoiseModel(seed=6))
         traj = run_ins(stream, truth.stance, EkfConfig())
         assert len(traj) == len(stream)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import zvnav
 from zvnav.detector import detect, detect_adaptive
 from zvnav.evaluate import (
     TriggerLog,
@@ -13,7 +12,8 @@ from zvnav.evaluate import (
     per_marker_errors,
     run_trial,
 )
-from zvnav.ekf import Trajectory
+from zvnav.ekf import Trajectory, run_ins
+from zvnav.simulate import NoiseModel, simulate
 from zvnav.survey import MarkerMap
 
 from conftest import mixed_segments, out_and_back
@@ -138,7 +138,7 @@ class TestFurthestPointError:
 
 class TestMarkerLayout:
     def test_markers_sit_on_outbound_anchors(self):
-        _, truth = zvnav.simulate(out_and_back("walk", 40.0), zvnav.NoiseModel(seed=1))
+        _, truth = simulate(out_and_back("walk", 40.0), NoiseModel(seed=1))
         marker_map, triggers = marker_layout_from_truth(truth, every=5)
         assert np.allclose(marker_map.positions[0], 0.0)
         assert len(triggers) == len(marker_map.marker_ids)
@@ -148,7 +148,7 @@ class TestMarkerLayout:
             assert np.linalg.norm(truth.pos[i] - marker_map.position_of(int(mid))) < 0.01
 
     def test_far_marker_is_turnaround(self):
-        _, truth = zvnav.simulate(out_and_back("walk", 40.0), zvnav.NoiseModel(seed=2))
+        _, truth = simulate(out_and_back("walk", 40.0), NoiseModel(seed=2))
         marker_map, _ = marker_layout_from_truth(truth, every=5)
         horiz = np.linalg.norm(marker_map.positions[:, :2], axis=1)
         assert np.argmax(horiz) == len(horiz) - 1
@@ -156,7 +156,7 @@ class TestMarkerLayout:
 
 class TestRunTrial:
     def test_switching_exactness_inside_trial(self, adaptive_setup):
-        stream, truth = zvnav.simulate(mixed_segments(), zvnav.NoiseModel(seed=50))
+        stream, truth = simulate(mixed_segments(), NoiseModel(seed=50))
         model = adaptive_setup["model"]
         from zvnav.svm import classify_stream
         labels = classify_stream(model, stream)
@@ -170,7 +170,7 @@ class TestRunTrial:
         assert np.array_equal(adaptive, np.where(binary == 1, fr, fw))
 
     def test_report_structure_and_determinism(self, adaptive_setup):
-        stream, truth = zvnav.simulate(mixed_segments(), zvnav.NoiseModel(seed=51))
+        stream, truth = simulate(mixed_segments(), NoiseModel(seed=51))
         marker_map, triggers = marker_layout_from_truth(truth, every=10)
         kwargs = dict(
             stream=stream, model=adaptive_setup["model"], gammas=adaptive_setup["gammas"],
@@ -189,14 +189,14 @@ class TestRunTrial:
                           "svm_accuracy", "path_length_m"}
 
     def test_needs_binary_model(self, six_class_model, adaptive_setup):
-        stream, truth = zvnav.simulate(mixed_segments(), zvnav.NoiseModel(seed=52))
+        stream, truth = simulate(mixed_segments(), NoiseModel(seed=52))
         marker_map, triggers = marker_layout_from_truth(truth, every=10)
         with pytest.raises(ValueError):
             run_trial(stream, six_class_model["model"], adaptive_setup["gammas"],
                       adaptive_setup["detector"], adaptive_setup["ekf"], triggers, marker_map)
 
     def test_short_class_truth_fails_before_the_ins_passes(self, adaptive_setup, monkeypatch):
-        stream, truth = zvnav.simulate(mixed_segments(), zvnav.NoiseModel(seed=54))
+        stream, truth = simulate(mixed_segments(), NoiseModel(seed=54))
         marker_map, triggers = marker_layout_from_truth(truth, every=10)
 
         def no_ins(*args, **kwargs):
@@ -210,9 +210,9 @@ class TestRunTrial:
                       class_truth=truth.labels[:2500])
 
     def test_per_marker_errors_cover_all_triggered_markers(self, adaptive_setup):
-        stream, truth = zvnav.simulate(out_and_back("walk", 30.0), zvnav.NoiseModel(seed=53))
+        stream, truth = simulate(out_and_back("walk", 30.0), NoiseModel(seed=53))
         marker_map, triggers = marker_layout_from_truth(truth, every=6)
-        traj = zvnav.run_ins(stream, truth.stance, adaptive_setup["ekf"])
+        traj = run_ins(stream, truth.stance, adaptive_setup["ekf"])
         aligned = align_trajectory(traj, triggers, marker_map)
         errors = per_marker_errors(aligned, triggers, marker_map)
         assert set(errors) == set(int(m) for m in triggers.marker_ids)

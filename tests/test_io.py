@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import zvnav
 from zvnav import io as zio
+from zvnav.ekf import EkfConfig, run_ins
 from zvnav.evaluate import TriggerLog, marker_layout_from_truth
 from zvnav.optimize import MocapStream, PrCurve
+from zvnav.simulate import NoiseModel, gait_preset, simulate
+from zvnav.svm import load_model
 
 
 @pytest.fixture()
 def short_trial():
-    return zvnav.simulate(zvnav.gait_preset("walk", duration=4.0), zvnav.NoiseModel(seed=5))
+    return simulate(gait_preset("walk", duration=4.0), NoiseModel(seed=5))
 
 
 class TestImuCsv:
@@ -117,7 +119,7 @@ class TestOtherCsv:
 
     def test_trajectory_round_trip(self, tmp_path, short_trial):
         stream, truth = short_trial
-        traj = zvnav.run_ins(stream, truth.stance, zvnav.EkfConfig())
+        traj = run_ins(stream, truth.stance, EkfConfig())
         path = tmp_path / "traj.csv"
         zio.write_trajectory_csv(path, traj)
         back = zio.read_trajectory_csv(path)
@@ -185,6 +187,23 @@ class TestJson:
         assert back[0][0].marker_id == 0
         assert back[1][0].station_id == 1
         assert np.allclose(back[0][1].points, template + 1.0)
+
+    @pytest.mark.parametrize("reader, text, message", [
+        (zio.read_marker_map_json, '{"a": 1}', "not a marker map (missing field 'markers')"),
+        (zio.read_marker_map_json, '{"markers": [{"id": 0}]}',
+         "not a marker map (missing field 'pos')"),
+        (zio.read_marker_map_json, "[1, 2]", "not a marker map (expected a JSON object)"),
+        (zio.read_survey_json, '{"markers": []}', "not a survey (missing field 'stations')"),
+        (zio.read_survey_json, "7", "not a survey (expected a JSON object)"),
+        (zio.read_survey_json, '{"stations": [', "not valid JSON (Expecting value"),
+        (load_model, '{"classes": [0, 2]', "not valid JSON (Expecting ',' delimiter"),
+    ])
+    def test_wrong_json_names_the_file(self, tmp_path, reader, text, message):
+        path = tmp_path / "data.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value).startswith(f"{path}: {message}")
 
 
 class TestConfig:

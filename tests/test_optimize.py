@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import zvnav
 from zvnav.core import ImuStream, ZvLabelStream
 from zvnav.detector import DetectorParams, per_sample_statistics
 from zvnav.optimize import (
@@ -16,6 +15,7 @@ from zvnav.optimize import (
     optimize_gamma,
     precision_recall,
 )
+from zvnav.simulate import NoiseModel, gait_preset, simulate
 
 from conftest import mocap_of
 
@@ -45,8 +45,8 @@ class TestLabelZeroVelocity:
         assert np.array_equal(labels.stationary[1:-1], expect[1:-1])
 
     def test_simulator_stance_boundaries_match_speed_crossing(self):
-        profile = zvnav.gait_preset("walk", duration=20.0)
-        _, truth = zvnav.simulate(profile, zvnav.NoiseModel(seed=0))
+        profile = gait_preset("walk", duration=20.0)
+        _, truth = simulate(profile, NoiseModel(seed=0))
         labels = label_zero_velocity(MocapStream(truth.t, truth.pos, 125.0), 0.1)
         truth_edges = np.flatnonzero(np.diff(truth.stance.astype(int)))
         label_edges = np.flatnonzero(np.diff(labels.stationary.astype(int)))
@@ -228,7 +228,7 @@ class TestOptimizeGamma:
     def test_no_stationary_truth_raises(self):
         t = np.arange(125) / 125.0
         pos = np.outer(t, [2.0, 0.0, 0.0])  # always faster than any threshold
-        stream, _ = zvnav.simulate(zvnav.gait_preset("walk", duration=1.0), zvnav.NoiseModel(seed=2))
+        stream, _ = simulate(gait_preset("walk", duration=1.0), NoiseModel(seed=2))
         with pytest.raises(UndefinedRecallError):
             optimize_gamma(stream, MocapStream(t, pos), DetectorParams(),
                            FBetaConfig(speed_threshold=0.01))
@@ -247,7 +247,7 @@ class TestOptimizeGamma:
 class TestOptimizationFailure:
     def test_all_zero_f_beta(self):
         # thresholds so small nothing is ever detected: recall 0 everywhere
-        stream, truth = zvnav.simulate(zvnav.gait_preset("walk", duration=4.0), zvnav.NoiseModel(seed=3))
+        stream, truth = simulate(gait_preset("walk", duration=4.0), NoiseModel(seed=3))
         mocap = MocapStream(truth.t, truth.pos, 125.0)
         cfg = FBetaConfig(gamma_grid=np.array([1e-9, 2e-9]))
         with pytest.raises(OptimizationFailedError):

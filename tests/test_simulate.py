@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-import zvnav
 from zvnav.core import GRAVITY
 from zvnav.detector import DetectorParams, shoe_statistics
+from zvnav.ekf import EkfConfig, run_ins
 from zvnav.simulate import (
     CLASS_IDS,
     CLASS_NAMES,
@@ -97,8 +97,8 @@ class TestPiecewise:
 
     def test_walk_then_run_flips_once_at_stance_midpoint(self):
         segments = piecewise_profile([
-            {"motion_class": "walk", "duration": 10.0},
-            {"motion_class": "run", "duration": 10.0},
+            (gait_preset("walk"), 10.0),
+            (gait_preset("run"), 10.0),
         ])
         _, truth = simulate(segments, NoiseModel(seed=2))
         flips = np.flatnonzero(np.diff(truth.labels))
@@ -111,7 +111,7 @@ class TestPiecewise:
         assert truth.stance[min(i, len(truth.stance) - 1)]
 
     def test_alternating_segments_transition_during_stance(self):
-        segments = [("walk", 8.0), ("run", 8.0)] * 3
+        segments = [(gait_preset("walk"), 8.0), (gait_preset("run"), 8.0)] * 3
         _, truth = simulate(piecewise_profile(segments), NoiseModel(seed=3))
         assert len(truth.transitions) == 5
         for tt in truth.transitions:
@@ -122,7 +122,7 @@ class TestPiecewise:
         with pytest.raises(ValueError):
             piecewise_profile([])
         with pytest.raises(ValueError):
-            piecewise_profile([("walk", -1.0)])
+            piecewise_profile([(gait_preset("walk"), -1.0)])
 
 
 class TestMeasurementRealism:
@@ -156,6 +156,6 @@ class TestMeasurementRealism:
             (gait_preset("walk", heading=math.pi / 2), 15.0),
         ]
         stream, truth = simulate(segments, ZERO_NOISE, rate_hz=250.0)
-        traj = zvnav.run_ins(stream, truth.stance, zvnav.EkfConfig())
+        traj = run_ins(stream, truth.stance, EkfConfig())
         err = np.linalg.norm(traj.pos[-1, :2] - truth.pos[-1, :2])
         assert err < 0.005 * truth.path_length()

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import zvnav
 from zvnav.core import Quaternion, Se3Transform, quat_to_rotation, se3_compose
 from zvnav.survey import (
     MarkerMap,
@@ -190,6 +189,7 @@ class TestBuildMap:
         poses, forward, reverse = synthetic_survey(rng)
         m = build_map(forward, reverse)
         true_positions = np.array([p.translation for p in poses])
+        assert m.marker_ids == tuple(range(len(poses)))
         assert np.max(np.abs(m.positions - true_positions)) < 1e-9
         assert m.loop_closure_m < 1e-9
         assert m.path_length_m == pytest.approx(
@@ -209,11 +209,6 @@ class TestBuildMap:
     def test_reverse_chain_length_checked(self):
         with pytest.raises(ValueError):
             build_map([Se3Transform.identity()], [])
-
-    def test_marker_ids(self):
-        m = build_map([Se3Transform.identity()], marker_ids=(7, 9))
-        assert m.marker_ids == (7, 9)
-        assert np.allclose(m.position_of(9), 0.0)
 
     def test_map_requires_marker_zero_at_origin(self):
         with pytest.raises(ValueError):

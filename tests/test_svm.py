@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import zvnav
 from zvnav.core import ImuStream
 from zvnav.svm import (
     NormStats,
@@ -238,6 +237,16 @@ class TestSmooth:
         raw2[zero_positions[rng.integers(len(zero_positions))]] = 1
         bumped = smooth(raw2)
         assert np.all(bumped >= base)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_monotone_in_raw_for_any_window_and_threshold(self, data):
+        n = data.draw(st.integers(1, 60))
+        raw1 = data.draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+        raw2 = raw1 | data.draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+        window = data.draw(st.integers(1, 80))
+        threshold = data.draw(st.floats(-0.5, 1.5))
+        assert np.all(smooth(raw1, window, threshold) <= smooth(raw2, window, threshold))
 
     def test_transition_flips_within_window(self):
         raw = np.concatenate([np.zeros(100, int), np.ones(100, int)])
