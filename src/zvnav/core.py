@@ -249,8 +249,8 @@ class ImuStream:
             raise ValueError("accel and gyro must have shape (n, 3)")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
             raise ValueError("stream values must be finite")
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
+        if not (np.isfinite(self.rate_hz) and self.rate_hz > 0):
+            raise ValueError("rate_hz must be positive and finite")
         if n >= 2:
             dts = np.diff(t)
             if np.any(dts <= 0):

@@ -31,6 +31,7 @@ DEFAULT_WINDOW_LEN = 125
 DEFAULT_SMOOTH_WINDOW = 15
 DEFAULT_SMOOTH_THRESHOLD = 0.2
 KKT_TOLERANCE = 1e-3
+CHUNK_WINDOWS = 2048
 
 
 class TrainingFailedError(RuntimeError):
@@ -81,8 +82,9 @@ def build_windows(stream: ImuStream, window_len: int = DEFAULT_WINDOW_LEN,
     if norm is not None:
         data = (data - norm.mean) / norm.std
     starts = np.arange(0, n - window_len + 1, stride)
-    windows = sliding_window_view(data, window_len, axis=0)[starts]  # (m, 6, K)
-    return windows.transpose(0, 2, 1).reshape(starts.shape[0], 6 * window_len).copy()
+    # the fancy index makes the one copy, (m, K, 6) in C order
+    windows = sliding_window_view(data, (window_len, 6))[starts, 0]
+    return windows.reshape(starts.shape[0], 6 * window_len)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +375,22 @@ def classify_stream(model: SvmModel, stream: ImuStream,
     motion); earlier samples inherit the first decision. For binary models
     the smoothed sequence is the mean-filtered labels; for more classes it
     is None.
+
+    Windows are built and scored ``CHUNK_WINDOWS`` at a time, consecutive
+    chunks sharing K-1 samples, so memory is bounded by one chunk of windows
+    and its kernel rows, not by the stream length. The pipeline's inherent
+    latency is K-1 samples of window lag plus the ``smooth_window``-sample
+    look-ahead of the smoother.
     """
-    windows = build_windows(stream, model.window_len, stride=1, norm=model.norm_stats)
-    window_labels = predict_batch(model, windows)
-    lead = np.full(model.window_len - 1, window_labels[0], dtype=np.int64)
+    k = model.window_len
+    chunk = CHUNK_WINDOWS
+    # a stream shorter than K still makes one call, so build_windows rejects it
+    window_labels = np.concatenate([
+        predict_batch(model, build_windows(stream[s:s + chunk + k - 1], k, stride=1,
+                                           norm=model.norm_stats))
+        for s in range(0, max(len(stream) - k + 1, 1), chunk)
+    ])
+    lead = np.full(k - 1, window_labels[0], dtype=np.int64)
     raw = np.concatenate([lead, window_labels])
 
     smoothed = None

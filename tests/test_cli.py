@@ -285,7 +285,9 @@ class TestInsRun:
         ("window = 1", "W must be at least 2"),
         ("sigma_zupt = -1", "sigma_zupt must be positive"),
         ("window = 1e400", "cannot convert float infinity to integer"),
-        ("rate_hz = -1", "rate_hz must be positive"),
+        ("rate_hz = -1", "rate_hz must be positive and finite"),
+        ("rate_hz = nan", "rate_hz must be positive and finite"),
+        ("rate_hz = inf", "rate_hz must be positive and finite"),
     ])
     def test_config_value_error_names_the_file(self, workdir, tmp_path, setting, message):
         cfg = tmp_path / "cfg.txt"

@@ -214,6 +214,12 @@ class TestStreams:
         with pytest.raises(ValueError):
             ImuStream(t, accel, np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("rate_hz", [0.0, -125.0, np.nan, np.inf])
+    def test_rejects_rate_that_is_not_positive_and_finite(self, rate_hz):
+        t = np.arange(3) / 125
+        with pytest.raises(ValueError, match="rate_hz must be positive and finite"):
+            ImuStream(t, np.zeros((3, 3)), np.zeros((3, 3)), rate_hz)
+
     def test_label_stream_validation(self):
         with pytest.raises(ValueError):
             ZvLabelStream(np.array([0.0, 0.0]), np.array([True, False]))

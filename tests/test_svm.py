@@ -1,14 +1,16 @@
 import json
+import tracemalloc
 
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zvnav.core import ImuStream
+from zvnav.simulate import NoiseModel, simulate
 from zvnav.svm import (
     NormStats,
     PairClassifier,
@@ -26,7 +28,7 @@ from zvnav.svm import (
     train,
 )
 
-from conftest import RUN, WALK
+from conftest import RUN, WALK, mixed_segments
 
 
 def lift(points):
@@ -70,6 +72,21 @@ class TestBuildWindows:
     def test_too_short_stream(self):
         with pytest.raises(ValueError):
             build_windows(self.make_stream(100), 125)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rows_are_normalized_samples_in_time_order(self, data):
+        k = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(k, 60))
+        stride = data.draw(st.integers(1, 15))
+        s = self.make_stream(n, seed=data.draw(st.integers(0, 1000)))
+        norm = NormStats(np.arange(6.0), np.linspace(0.5, 3.0, 6))
+        w = build_windows(s, k, stride=stride, norm=norm)
+        starts = range(0, n - k + 1, stride)
+        assert w.shape == (len(starts), 6 * k) and w.flags.c_contiguous
+        samples = (np.hstack([s.accel, s.gyro]) - norm.mean) / norm.std
+        for row, start in zip(w, starts):
+            assert np.array_equal(row, samples[start:start + k].ravel())
 
     def test_affine_change_of_units_invariant_after_zscore(self):
         # scaling and offsetting raw channels before computing stats leaves
@@ -299,6 +316,61 @@ class TestClassifyStream:
         stream, _ = walk_calibration
         labels = classify_stream(binary_model, stream)
         assert np.mean(labels.smoothed == WALK) > 0.99
+
+
+@pytest.fixture(scope="module")
+def three_class_model(walk_calibration):
+    # K=8 windows of one stream in three arbitrary label blocks: a cheap
+    # model whose votes exercise the multiclass path
+    stream, _ = walk_calibration
+    x = build_windows(stream[:3200], 8, stride=40)
+    return train(x, np.repeat([0, 1, 2], 27)[:x.shape[0]])
+
+
+@st.composite
+def chunked_lengths(draw):
+    """A chunk size of 1-9 and a window count that is a multiple of it, +-1."""
+    chunk = draw(st.integers(1, 9))
+    n_windows = max(1, chunk * draw(st.integers(1, 4)) + draw(st.sampled_from([-1, 0, 1])))
+    return chunk, n_windows
+
+
+class TestChunkedClassification:
+    @pytest.mark.parametrize("model_name", ["binary_model", "three_class_model"])
+    @settings(max_examples=25, deadline=None)
+    @given(case=chunked_lengths(), start=st.integers(0, 4000))
+    @example(case=(3, 1), start=0)  # n == K: one window
+    def test_chunks_equal_one_batch_over_the_whole_stream(self, request, walk_calibration,
+                                                          model_name, case, start):
+        model = request.getfixturevalue(model_name)
+        chunk, n_windows = case
+        stream, _ = walk_calibration
+        part = stream[start:start + n_windows + model.window_len - 1]
+        whole = predict_batch(model, build_windows(part, model.window_len, stride=1,
+                                                   norm=model.norm_stats))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("zvnav.svm.CHUNK_WINDOWS", chunk)
+            labels = classify_stream(model, part)
+        expect = np.concatenate([np.full(model.window_len - 1, whole[0]), whole])
+        assert np.array_equal(labels.raw, expect)
+        if len(model.classes) == 2:
+            binary = (expect == model.classes[1]).astype(np.int64)
+            assert np.array_equal(labels.smoothed, np.asarray(model.classes)[smooth(binary)])
+        else:
+            assert labels.smoothed is None
+
+    def test_peak_memory_is_bounded_by_the_chunk(self, binary_model):
+        # one 59 s mixed trial, 7,375 samples; classifying it as one batch
+        # peaks near 150 MB (43.5 MB of windows plus the kernel rows of
+        # ~600 support vectors), one chunk of 2,048 windows near 42 MB
+        stream, _ = simulate(mixed_segments(), NoiseModel(seed=43))
+        tracemalloc.start()
+        try:
+            classify_stream(binary_model, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
 
 
 class TestSerialization:
