@@ -5,8 +5,9 @@ The six command groups (zv, classify, sim, survey, ins, eval) live under one
 Shared EKF/detector defaults can come from a ``key = value`` config file
 (--config). ``io.CONFIG_TABLE`` maps each key to the field it sets and
 ``_configure`` applies it; a flag named like a key overrides the config
-value. Bad input files, config files or models end a command with a
-one-line error rather than a traceback.
+value. Bad input files, config files, models or option values, and a gamma
+sweep or SVM fit that finds no solution, end a command with a one-line error
+rather than a traceback.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .evaluate import marker_layout_from_truth, run_trial
 from .optimize import (
     FBetaConfig,
     MocapStream,
+    OptimizationFailedError,
     RUN_BETA_SQ,
     RUN_SPEED_THRESHOLD,
     WALK_BETA_SQ,
@@ -36,6 +38,7 @@ from .simulate import CLASS_IDS, CLASS_NAMES, NoiseModel, gait_preset, simulate
 from .survey import build_map, frame_to_frame, tag_template
 from .svm import (
     NormStats,
+    TrainingFailedError,
     build_windows,
     classify_motion,
     classify_stream,
@@ -79,12 +82,12 @@ def _configure(imu, config_path, **flags):
 
 
 class _Group(click.Group):
-    """Reports the library's ValueErrors (bad input data) as one-line CLI errors."""
+    """Reports bad input data, and a sweep or fit that found no solution, as one-line errors."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (ValueError, OptimizationFailedError, TrainingFailedError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -178,7 +181,7 @@ def classify():
 @click.option("--out", required=True, type=click.Path())
 @click.option("--classes", default=None,
               help="Comma-separated class ids to train on, e.g. '0,2'.")
-@click.option("--trim", type=int, default=1000, show_default=True,
+@click.option("--trim", type=click.IntRange(min=0), default=1000, show_default=True,
               help="Samples dropped from each end of every trial.")
 @click.option("--window-len", type=int, default=125, show_default=True)
 @click.option("--stride", type=int, default=15, show_default=True)

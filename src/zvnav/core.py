@@ -12,7 +12,8 @@ Conventions used throughout the package:
 - The EKF step state is floats: the quaternion helpers below take any
   sequence of floats (a numpy array included), use ``math`` and return
   tuples of floats. Only ``_rotmat_from_quat`` returns an array, the operand
-  of the EKF's ``R @ accel`` product.
+  of the EKF's ``R @ accel`` product. ``_quat_mul`` is plain arithmetic, so
+  it also multiplies a stack: give it component arrays and it returns them.
 """
 from __future__ import annotations
 
@@ -48,13 +49,6 @@ def read_json_object(path, what: str, parse=dict):
         return parse(data)
     except KeyError as exc:
         raise ValueError(f"{path}: not {what} (missing field '{exc.args[0]}')") from None
-
-
-class StepTooLargeError(ValueError):
-    """A single-step incremental rotation reached or exceeded pi radians.
-
-    Usually a symptom of sensor dropout or a wrong sampling period.
-    """
 
 
 # ---------------------------------------------------------------------------
@@ -146,32 +140,6 @@ def quat_to_rotation(q: Quaternion) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("quaternion components must be finite")
     return _rotmat_from_quat(_quat_normalize(arr))
-
-
-def omega_update(q_prev: Quaternion, phi) -> Quaternion:
-    """Advance ``q_prev`` by the body-frame incremental rotation ``phi``.
-
-    ``phi`` is an axis-angle rotation vector (rad), typically gyro * dt for
-    one sampling step. Uses the exact axis-angle quaternion rather than a
-    first-order 4x4 update; the result is renormalized, so arbitrarily long
-    update chains keep unit norm.
-
-    Raises
-    ------
-    StepTooLargeError
-        If ``|phi| >= pi``; one integration step should never rotate that
-        far, so this signals sensor dropout or a wrong sampling period.
-    """
-    phi = np.asarray(phi, dtype=np.float64)
-    if phi.shape != (3,):
-        raise ValueError("phi must be a 3-vector")
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phi must be finite")
-    angle = float(np.linalg.norm(phi))
-    if angle >= math.pi:
-        raise StepTooLargeError(f"|phi| = {angle:.6f} rad >= pi in one step")
-    out = _quat_mul(q_prev.as_array(), _quat_from_rotvec(phi))
-    return Quaternion.from_array(_quat_normalize(out))
 
 
 # ---------------------------------------------------------------------------
@@ -276,24 +244,3 @@ class ImuStream:
         if not isinstance(key, slice):
             raise TypeError("index streams with slices; read one sample from .t, .accel and .gyro")
         return ImuStream(self.t[key], self.accel[key], self.gyro[key], self.rate_hz)
-
-
-@dataclass(frozen=True, eq=False)
-class ZvLabelStream:
-    """Timestamped zero-velocity ground-truth labels."""
-
-    t: np.ndarray
-    stationary: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.float64)
-        s = np.asarray(self.stationary, dtype=bool)
-        if t.ndim != 1 or s.shape != t.shape:
-            raise ValueError("t and stationary must be 1-d arrays of equal length")
-        if t.shape[0] >= 2 and np.any(np.diff(t) <= 0):
-            raise ValueError("timestamps must be strictly increasing")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "stationary", s)
-
-    def __len__(self) -> int:
-        return self.t.shape[0]

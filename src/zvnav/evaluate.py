@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ImuStream, Quaternion
+from .core import ImuStream, Quaternion, _quat_mul
 from .detector import AdaptiveParams, DetectorParams, detect, detect_adaptive
 from .ekf import EkfConfig, Trajectory, run_ins
 from .simulate import GaitTruth
@@ -108,14 +108,8 @@ def align_trajectory(traj: Trajectory, triggers: TriggerLog,
     pos[:, :2] = traj.pos[:, :2] @ R2.T + t2
     vel = traj.vel.copy()
     vel[:, :2] = traj.vel[:, :2] @ R2.T
-    w, z = Quaternion.from_rotvec([0.0, 0.0, yaw]).as_array()[[0, 3]]
-    q = traj.quat
-    quat = np.column_stack([
-        w * q[:, 0] - z * q[:, 3],
-        w * q[:, 1] - z * q[:, 2],
-        w * q[:, 2] + z * q[:, 1],
-        w * q[:, 3] + z * q[:, 0],
-    ])
+    quat = np.column_stack(_quat_mul(Quaternion.from_rotvec([0.0, 0.0, yaw]).as_array(),
+                                     traj.quat.T))
     return Trajectory(traj.t.copy(), pos, vel, quat, traj.zupt.copy())
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ImuStream, ZvLabelStream
+from .core import ImuStream
 from .detector import DetectorParams, per_sample_statistics
 
 # per-motion defaults for ground-truth labeling and the F-score weight
@@ -100,20 +100,8 @@ class PrCurve:
         return self.gamma.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class AlignedLabels:
-    """Per-IMU-sample truth labels plus a validity mask.
-
-    Samples outside the mocap time span are marked invalid and excluded from
-    scoring rather than treated as moving.
-    """
-
-    stationary: np.ndarray
-    valid: np.ndarray
-
-
-def label_zero_velocity(mocap: MocapStream, speed_threshold: float) -> ZvLabelStream:
-    """Stationary labels from thresholded mocap foot speed.
+def label_zero_velocity(mocap: MocapStream, speed_threshold: float) -> np.ndarray:
+    """Stationary flag of each mocap sample, from thresholded foot speed.
 
     Speed at interior samples is the central difference
     (p[i+1] - p[i-1]) / (t[i+1] - t[i-1]); the endpoints use one-sided
@@ -121,29 +109,33 @@ def label_zero_velocity(mocap: MocapStream, speed_threshold: float) -> ZvLabelSt
     """
     if len(mocap) < 3:
         raise ValueError("need at least 3 mocap samples to differentiate")
-    if np.any(np.diff(mocap.t) == 0):
-        raise ValueError("duplicate mocap timestamps")
     t, p = mocap.t, mocap.pos
     vel = np.empty_like(p)
     vel[1:-1] = (p[2:] - p[:-2]) / (t[2:] - t[:-2])[:, None]
     vel[0] = (p[1] - p[0]) / (t[1] - t[0])
     vel[-1] = (p[-1] - p[-2]) / (t[-1] - t[-2])
-    speed = np.linalg.norm(vel, axis=1)
-    return ZvLabelStream(t, speed < speed_threshold)
+    return np.linalg.norm(vel, axis=1) < speed_threshold
 
 
-def align_labels(labels: ZvLabelStream, imu: ImuStream) -> AlignedLabels:
-    """Resample truth labels onto IMU timestamps by nearest neighbour in time."""
-    if imu.t[-1] < labels.t[0] or imu.t[0] > labels.t[-1]:
+def align_labels(mocap: MocapStream, stationary: np.ndarray,
+                 imu: ImuStream) -> tuple[np.ndarray, np.ndarray]:
+    """Each IMU sample's flag from the nearest mocap sample, and a validity mask.
+
+    Samples outside the mocap time span are marked invalid and excluded from
+    scoring rather than treated as moving.
+    """
+    lt = mocap.t
+    if len(stationary) != len(lt):
+        raise ValueError("stationary must hold one flag per mocap sample")
+    if imu.t[-1] < lt[0] or imu.t[0] > lt[-1]:
         raise ValueError("label and IMU time ranges do not overlap")
-    lt = labels.t
     right = np.searchsorted(lt, imu.t)
-    left = np.clip(right - 1, 0, len(labels) - 1)
-    right = np.clip(right, 0, len(labels) - 1)
+    left = np.clip(right - 1, 0, len(lt) - 1)
+    right = np.clip(right, 0, len(lt) - 1)
     pick_right = np.abs(lt[right] - imu.t) < np.abs(imu.t - lt[left])
     nearest = np.where(pick_right, right, left)
     valid = (imu.t >= lt[0]) & (imu.t <= lt[-1])
-    return AlignedLabels(labels.stationary[nearest], valid)
+    return stationary[nearest], valid
 
 
 def precision_recall(pred, truth) -> tuple[float, float]:
@@ -165,15 +157,17 @@ def precision_recall(pred, truth) -> tuple[float, float]:
     return precision, recall
 
 
-def f_beta(p: float, r: float, beta_sq: float) -> float:
-    """F-beta score (1 + b2) p r / (b2 p + r); zero when p = r = 0."""
-    if not (0.0 <= p <= 1.0 and 0.0 <= r <= 1.0):
+def f_beta(p, r, beta_sq: float):
+    """F-beta score (1 + b2) p r / (b2 p + r) of floats or arrays; 0 where p = r = 0."""
+    p = np.asarray(p, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    if not (np.all((p >= 0.0) & (p <= 1.0)) and np.all((r >= 0.0) & (r <= 1.0))):
         raise ValueError("precision and recall must lie in [0, 1]")
     if beta_sq <= 0:
         raise ValueError("beta_sq must be positive")
-    if p == 0.0 and r == 0.0:
-        return 0.0
-    return (1.0 + beta_sq) * p * r / (beta_sq * p + r)
+    denom = beta_sq * p + r
+    fb = np.where(denom > 0, (1.0 + beta_sq) * p * r / np.where(denom > 0, denom, 1.0), 0.0)
+    return float(fb) if fb.ndim == 0 else fb
 
 
 def optimize_gamma(imu: ImuStream, mocap: MocapStream, detector: DetectorParams,
@@ -184,12 +178,11 @@ def optimize_gamma(imu: ImuStream, mocap: MocapStream, detector: DetectorParams,
     Ties resolve to the smallest gamma. Deterministic given grid and data.
     """
     labels = label_zero_velocity(mocap, cfg.speed_threshold)
-    aligned = align_labels(labels, imu)
+    stationary, valid = align_labels(mocap, labels, imu)
     stats = per_sample_statistics(imu, detector)
 
-    mask = aligned.valid
-    s = stats[mask]
-    truth = aligned.stationary[mask]
+    s = stats[valid]
+    truth = stationary[valid]
     n_pos = int(truth.sum())
     if n_pos == 0:
         raise UndefinedRecallError("ground truth contains no stationary samples")
@@ -202,9 +195,7 @@ def optimize_gamma(imu: ImuStream, mocap: MocapStream, detector: DetectorParams,
     predicted = tp + fp
     precision = np.where(predicted > 0, tp / np.where(predicted > 0, predicted, 1.0), 1.0)
     recall = tp / n_pos
-    denom = cfg.beta_sq * precision + recall
-    fb = np.where(denom > 0, (1.0 + cfg.beta_sq) * precision * recall
-                  / np.where(denom > 0, denom, 1.0), 0.0)
+    fb = f_beta(precision, recall, cfg.beta_sq)
 
     if np.all(fb == 0.0):
         raise OptimizationFailedError("F-beta is zero across the whole grid")

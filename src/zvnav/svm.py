@@ -73,6 +73,8 @@ def build_windows(stream: ImuStream, window_len: int = DEFAULT_WINDOW_LEN,
     window, samples in time order with accel channels before gyro channels
     at every timestep. Channels are z-scored when ``norm`` is given.
     """
+    if window_len < 1:
+        raise ValueError("window_len must be at least 1")
     n = len(stream)
     if n < window_len:
         raise ValueError(f"stream holds {n} samples, fewer than K={window_len}")
@@ -100,7 +102,8 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, kernel_width: float) -> np.ndarray:
         - 2.0 * (a @ b.T)
     )
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-kernel_width * sq)
+    np.multiply(sq, -kernel_width, out=sq)
+    return np.exp(sq, out=sq)
 
 
 def _smo(K, y, C, tol, max_iter):
@@ -230,7 +233,9 @@ def train(windows: np.ndarray, labels, kernel_width: float | None = None,
         raise ValueError("feature dimension must equal 6 * window_len")
     if kernel_width is None:
         kernel_width = 1.0 / d
-    if c_reg <= 0:
+    if not 0 < kernel_width < np.inf:
+        raise ValueError("kernel_width must be positive and finite")
+    if not c_reg > 0:
         raise ValueError("c_reg must be positive")
     max_iter = max(200 * X.shape[0], 100_000)
 

@@ -1,11 +1,16 @@
+import importlib
+import inspect
 import json
+import pkgutil
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import zvnav
 from zvnav import io as zio
-from zvnav.cli import main
+from zvnav.cli import _Group, main
 from zvnav.svm import save_model, train
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -158,6 +163,13 @@ class TestZv:
         assert "gamma_opt" in result.output
         assert curve.read_text().splitlines()[0] == "gamma,precision,recall,f_beta"
 
+    def test_optimize_reports_a_grid_that_finds_no_operating_point(self, workdir):
+        # one grid point, gamma = 100, flags no sample stationary
+        line = cli_error(["zv", "optimize", "--imu", str(workdir / "run.csv"),
+                          "--mocap", str(workdir / "run_mocap.csv"), "--motion", "run",
+                          "--grid-points", "1"])
+        assert line == "Error: F-beta is zero across the whole grid"
+
     def test_optimize_deterministic(self, workdir, tmp_path):
         curve = tmp_path / "curve.csv"
         rerun_identical(["zv", "optimize", "--imu", str(workdir / "walk.csv"),
@@ -176,6 +188,24 @@ class TestClassify:
         out = tmp_path / "model.json"
         rerun_identical(["classify", "train", "--trials", str(workdir / "trials"),
                          "--out", str(out), "--trim", "100", "--stride", "10"], [out])
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--window-len", "0", "window_len must be at least 1"),
+        ("--kernel-width", "0", "kernel_width must be positive and finite"),
+        ("--kernel-width", "-1", "kernel_width must be positive and finite"),
+    ], ids=["window-len-0", "kernel-width-0", "kernel-width-negative"])
+    def test_train_rejects_flag_out_of_range(self, workdir, tmp_path, flag, value, message):
+        line = cli_error(["classify", "train", "--trials", str(workdir / "trials"),
+                          "--out", str(tmp_path / "model.json"), "--trim", "100",
+                          "--stride", "10", flag, value])
+        assert line == f"Error: {message}"
+
+    def test_train_rejects_negative_trim(self, workdir, tmp_path):
+        result = CliRunner().invoke(main, ["classify", "train", "--trials", str(workdir / "trials"),
+                                           "--out", str(tmp_path / "model.json"), "--trim", "-5"])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--trim'" in result.output
+        assert not (tmp_path / "model.json").exists()
 
     def test_predict_labels_walk_as_walk(self, workdir, tmp_path):
         out = tmp_path / "labels.csv"
@@ -379,3 +409,36 @@ def test_module_entry_point():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "zv" in result.stdout and "classify" in result.stdout
+
+
+def zvnav_exceptions():
+    """Every exception class defined in a zvnav module."""
+    found = []
+    for info in pkgutil.iter_modules(zvnav.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"zvnav.{info.name}")
+        found += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(cls, BaseException) and cls.__module__ == module.__name__]
+    return found
+
+
+def test_exception_list_is_complete():
+    names = {cls.__name__ for cls in zvnav_exceptions()}
+    assert {"OptimizationFailedError", "RankDeficientError", "TrainingFailedError",
+            "UndefinedRecallError"} <= names
+
+
+@pytest.mark.parametrize("error", zvnav_exceptions(), ids=lambda cls: cls.__name__)
+def test_group_reports_each_library_error_as_one_line(error):
+    @click.group(cls=_Group)
+    def group():
+        pass
+
+    @group.command()
+    def fail():
+        raise error("what went wrong")
+
+    result = CliRunner().invoke(group, ["fail"])
+    assert result.exit_code == 1, result.output
+    assert result.output == "Error: what went wrong\n"

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from zvnav.core import ImuStream, ZvLabelStream
+from zvnav.core import ImuStream
 from zvnav.detector import DetectorParams, per_sample_statistics
 from zvnav.optimize import (
     FBetaConfig,
     MocapStream,
     OptimizationFailedError,
+    RUN_BETA_SQ,
     UndefinedRecallError,
+    WALK_BETA_SQ,
     align_labels,
     default_gamma_grid,
     f_beta,
@@ -25,13 +27,13 @@ class TestLabelZeroVelocity:
         t = np.arange(20) / 100.0
         mocap = MocapStream(t, np.ones((20, 3)))
         labels = label_zero_velocity(mocap, 0.1)
-        assert labels.stationary.all()
+        assert labels.all()
 
     def test_constant_velocity_all_moving(self):
         t = np.arange(20) / 100.0
         pos = np.outer(t, [1.0, 0.0, 0.0])
         labels = label_zero_velocity(MocapStream(t, pos), 0.1)
-        assert not labels.stationary.any()
+        assert not labels.any()
 
     def test_central_difference_on_known_ramp(self):
         # speed crosses the threshold exactly where the quadratic derivative does
@@ -42,14 +44,14 @@ class TestLabelZeroVelocity:
         crossing = 0.1 / 0.4
         expect = (t < crossing)
         # central differences are exact for quadratics at interior points
-        assert np.array_equal(labels.stationary[1:-1], expect[1:-1])
+        assert np.array_equal(labels[1:-1], expect[1:-1])
 
     def test_simulator_stance_boundaries_match_speed_crossing(self):
         profile = gait_preset("walk", duration=20.0)
         _, truth = simulate(profile, NoiseModel(seed=0))
         labels = label_zero_velocity(MocapStream(truth.t, truth.pos, 125.0), 0.1)
         truth_edges = np.flatnonzero(np.diff(truth.stance.astype(int)))
-        label_edges = np.flatnonzero(np.diff(labels.stationary.astype(int)))
+        label_edges = np.flatnonzero(np.diff(labels.astype(int)))
         assert len(truth_edges) == len(label_edges)
         # the labels extend past the exact stance boundary for as long as the
         # swing speed stays below the threshold; solve the quintic speed
@@ -67,55 +69,62 @@ class TestLabelZeroVelocity:
             label_zero_velocity(MocapStream(np.array([0.0, 0.1]), np.zeros((2, 3))), 0.1)
 
 
+def mocap_at(t):
+    """Mocap samples at times ``t``; align_labels reads only their timestamps."""
+    return MocapStream(t, np.zeros((len(t), 3)))
+
+
 class TestAlignLabels:
     def test_identical_grids_identity(self):
         t = np.arange(10) / 125.0
-        labels = ZvLabelStream(t, np.arange(10) % 2 == 0)
+        labels = np.arange(10) % 2 == 0
         stream = ImuStream(t, np.tile([0, 0, 9.81], (10, 1)), np.zeros((10, 3)))
-        aligned = align_labels(labels, stream)
-        assert np.array_equal(aligned.stationary, labels.stationary)
-        assert aligned.valid.all()
+        stationary, valid = align_labels(mocap_at(t), labels, stream)
+        assert np.array_equal(stationary, labels)
+        assert valid.all()
 
     def test_rate_mismatch_constant_label(self):
         lt = np.arange(50) / 100.0
-        labels = ZvLabelStream(lt, np.ones(50, bool))
         it = np.arange(40) / 125.0
         stream = ImuStream(it, np.tile([0, 0, 9.81], (40, 1)), np.zeros((40, 3)))
-        aligned = align_labels(labels, stream)
-        assert aligned.stationary[aligned.valid].all()
+        stationary, valid = align_labels(mocap_at(lt), np.ones(50, bool), stream)
+        assert stationary[valid].all()
 
     def test_nearest_neighbour_exhaustive(self):
         rng = np.random.default_rng(1)
         lt = np.sort(rng.uniform(0, 1, 30))
         lt += np.arange(30) * 1e-6  # enforce strict order
         values = rng.integers(0, 2, 30).astype(bool)
-        labels = ZvLabelStream(lt, values)
         it = np.arange(100) / 125.0
         it = it[(it >= 0) & (it <= 1)]
         stream = ImuStream(it, np.tile([0, 0, 9.81], (len(it), 1)), np.zeros((len(it), 3)))
-        aligned = align_labels(labels, stream)
+        stationary, valid = align_labels(mocap_at(lt), values, stream)
         for k, ts in enumerate(it):
-            if not aligned.valid[k]:
+            if not valid[k]:
                 continue
             nearest = np.argmin(np.abs(lt - ts))
-            assert aligned.stationary[k] == values[nearest]
+            assert stationary[k] == values[nearest]
 
     def test_out_of_span_marked_invalid(self):
         lt = np.array([0.5, 0.6, 0.7])
-        labels = ZvLabelStream(lt, np.ones(3, bool))
         it = np.arange(125) / 125.0
         stream = ImuStream(it, np.tile([0, 0, 9.81], (125, 1)), np.zeros((125, 3)))
-        aligned = align_labels(labels, stream)
-        assert not aligned.valid[it < 0.5].any()
-        assert not aligned.valid[it > 0.7].any()
-        assert aligned.valid[(it >= 0.5) & (it <= 0.7)].all()
+        _, valid = align_labels(mocap_at(lt), np.ones(3, bool), stream)
+        assert not valid[it < 0.5].any()
+        assert not valid[it > 0.7].any()
+        assert valid[(it >= 0.5) & (it <= 0.7)].all()
+
+    def test_one_flag_per_mocap_sample(self):
+        it = np.arange(10) / 125.0
+        stream = ImuStream(it, np.tile([0, 0, 9.81], (10, 1)), np.zeros((10, 3)))
+        with pytest.raises(ValueError, match="one flag per mocap sample"):
+            align_labels(mocap_at(it), np.ones(9, bool), stream)
 
     def test_empty_overlap(self):
-        labels = ZvLabelStream(np.array([10.0, 11.0]), np.ones(2, bool))
         it = np.arange(10) / 125.0
         stream = ImuStream(it, np.tile([0, 0, 9.81], (10, 1)), np.zeros((10, 3)))
         with pytest.raises(ValueError):
-            align_labels(labels, stream)
+            align_labels(mocap_at(np.array([10.0, 11.0])), np.ones(2, bool), stream)
 
 
 class TestPrecisionRecall:
@@ -200,14 +209,19 @@ class TestOptimizeGamma:
         cfg = FBetaConfig()
         gamma, curve = optimize_gamma(stream, mocap, DetectorParams(), cfg)
         labels = label_zero_velocity(mocap, cfg.speed_threshold)
-        aligned = align_labels(labels, stream)
+        stationary, valid = align_labels(mocap, labels, stream)
         stats = per_sample_statistics(stream, DetectorParams())
         for i in (0, len(curve) // 2, len(curve) - 1):
             g = curve.gamma[i]
-            pred = (stats < g)[aligned.valid]
-            p, r = precision_recall(pred, aligned.stationary[aligned.valid])
+            pred = (stats < g)[valid]
+            p, r = precision_recall(pred, stationary[valid])
             assert p == pytest.approx(curve.precision[i], abs=1e-12)
             assert r == pytest.approx(curve.recall[i], abs=1e-12)
+
+    def test_curve_f_beta_is_the_public_f_beta(self, optimized_gammas):
+        for key, beta_sq in (("curve_walk", WALK_BETA_SQ), ("curve_run", RUN_BETA_SQ)):
+            curve = optimized_gammas[key]
+            assert np.array_equal(curve.f_beta, f_beta(curve.precision, curve.recall, beta_sq))
 
     def test_smaller_beta_moves_operating_point_left(self, walk_calibration):
         # tested where the precondition (precision non-increasing) holds

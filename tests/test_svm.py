@@ -23,6 +23,7 @@ from zvnav.svm import (
     model_from_dict,
     model_to_dict,
     predict_batch,
+    rbf_kernel,
     save_model,
     smooth,
     train,
@@ -73,6 +74,10 @@ class TestBuildWindows:
         with pytest.raises(ValueError):
             build_windows(self.make_stream(100), 125)
 
+    def test_rejects_empty_window(self):
+        with pytest.raises(ValueError, match="window_len must be at least 1"):
+            build_windows(self.make_stream(10), 0)
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_rows_are_normalized_samples_in_time_order(self, data):
@@ -98,6 +103,26 @@ class TestBuildWindows:
         wa = build_windows(s, 125, stride=30, norm=norm_a)
         wb = build_windows(scaled, 125, stride=30, norm=norm_b)
         assert np.max(np.abs(wa - wb)) < 1e-12
+
+
+class TestRbfKernel:
+    def test_matches_pairwise_definition(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(7, 6)), rng.normal(size=(5, 6))
+        expect = np.exp(-0.3 * ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+        assert np.max(np.abs(rbf_kernel(a, b, 0.3) - expect)) < 1e-12
+
+    def test_peak_memory_is_twice_the_result(self):
+        # a 1,100 x 1,100 training kernel of K = 125 windows: the distance
+        # matrix and one same-sized temporary, then exp in place
+        x = np.random.default_rng(6).normal(size=(1100, 750))
+        tracemalloc.start()
+        try:
+            result = rbf_kernel(x, x, 1.0 / 750)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * result.nbytes
 
 
 class TestTrain:
@@ -130,6 +155,18 @@ class TestTrain:
         y = np.array([0] * 5 + [1] * 5)
         with pytest.raises(TrainingFailedError):
             train(X, y)
+
+    @pytest.mark.parametrize("kernel_width", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_kernel_width_that_is_not_positive_and_finite(self, kernel_width):
+        X = lift([[0, 0], [1, 1], [0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="kernel_width must be positive and finite"):
+            train(X, np.array([0, 0, 1, 1]), kernel_width=kernel_width)
+
+    @pytest.mark.parametrize("c_reg", [0.0, -1.0, np.nan])
+    def test_rejects_c_reg_that_is_not_positive(self, c_reg):
+        X = lift([[0, 0], [1, 1], [0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="c_reg must be positive"):
+            train(X, np.array([0, 0, 1, 1]), c_reg=c_reg)
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):
@@ -362,7 +399,7 @@ class TestChunkedClassification:
     def test_peak_memory_is_bounded_by_the_chunk(self, binary_model):
         # one 59 s mixed trial, 7,375 samples; classifying it as one batch
         # peaks near 150 MB (43.5 MB of windows plus the kernel rows of
-        # ~600 support vectors), one chunk of 2,048 windows near 42 MB
+        # ~600 support vectors), one chunk of 2,048 windows near 33 MB
         stream, _ = simulate(mixed_segments(), NoiseModel(seed=43))
         tracemalloc.start()
         try:
