@@ -11,7 +11,6 @@ rather than a traceback.
 """
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
@@ -19,10 +18,10 @@ import click
 import numpy as np
 
 from . import io as zio
-from .core import ImuStream, read_json_object
+from .core import ImuStream, read_json_object, write_json
 from .detector import AdaptiveParams, DetectorParams, detect, detect_adaptive
 from .ekf import EkfConfig, run_ins
-from .evaluate import marker_layout_from_truth, run_trial
+from .evaluate import check_triggers, marker_layout_from_truth, run_trial
 from .optimize import (
     FBetaConfig,
     MocapStream,
@@ -443,6 +442,10 @@ def eval_trial(imu, model_path, gammas, triggers, markers, truth_path, config, r
     adaptive = _read_gammas(gammas)
     trigger_log = zio.read_trigger_csv(triggers)
     marker_map = zio.read_marker_map_json(markers)
+    try:
+        check_triggers(stream, trigger_log, marker_map)
+    except ValueError as exc:
+        raise ValueError(f"{triggers}: {exc}") from None
     class_truth = zio.read_truth_csv(truth_path)["labels"] if truth_path else None
     if class_truth is not None and len(class_truth) != len(stream):
         raise click.ClickException(f"{truth_path}: {len(class_truth)} labels for the "
@@ -450,7 +453,7 @@ def eval_trial(imu, model_path, gammas, triggers, markers, truth_path, config, r
 
     result = run_trial(stream, model, adaptive, detector, ekf_cfg,
                        trigger_log, marker_map, class_truth=class_truth)
-    Path(report).write_text(json.dumps(result.to_dict(), sort_keys=True, indent=1))
+    write_json(report, result.to_dict())
     for method, err in result.furthest_errors.items():
         click.echo(f"{method}: furthest-point error {err:.3f} m")
     if result.svm_accuracy is not None:

@@ -51,6 +51,84 @@ def read_json_object(path, what: str, parse=dict):
         raise ValueError(f"{path}: not {what} (missing field '{exc.args[0]}')") from None
 
 
+def write_json(path, data) -> None:
+    """Write ``data`` as the text of ``json.dumps(data, sort_keys=True, indent=1)``.
+
+    json encodes with ``indent`` in pure Python, one element at a time; here
+    a list of finite floats is joined in one call, which is most of a model
+    file. The pieces are written without joining them into one string, and
+    all are made before the file is opened, so a value that cannot be
+    encoded leaves no file. Non-finite floats, ``-0.0``, empty containers,
+    non-string keys and unsupported types give the same text or the same
+    ``TypeError``.
+    """
+    with Path(path).open("w") as f:
+        f.writelines(list(_json_pieces(data, "\n")))
+
+
+def _json_scalar(value) -> str | None:
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        text = _json_scalar(key)
+        if text is None:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = text
+    return json.encoder.encode_basestring_ascii(key)
+
+
+def _json_pieces(value, newline: str):
+    """The text of ``value``, in pieces; its nested lines start with ``newline`` and one space."""
+    text = _json_scalar(value)
+    if text is not None:
+        yield text
+        return
+    inner = newline + " "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        if all(type(v) is float for v in value):
+            body = sep.join(map(float.__repr__, value))
+            if "n" not in body:  # finite: repr gives 'nan' and 'inf', json 'NaN' and 'Infinity'
+                yield "[" + inner + body + newline + "]"
+                return
+        for k, v in enumerate(value):
+            yield sep if k else "[" + inner
+            yield from _json_pieces(v, inner)
+        yield newline + "]"
+    elif isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        for k, (key, v) in enumerate(sorted(value.items())):
+            yield (sep if k else "{" + inner) + _json_key(key) + ": "
+            yield from _json_pieces(v, inner)
+        yield newline + "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 # ---------------------------------------------------------------------------
 # float-level kernels, shared by the EKF hot loop
 # ---------------------------------------------------------------------------

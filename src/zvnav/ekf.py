@@ -23,8 +23,9 @@ Scalar arithmetic stays on Python floats; numpy runs only the matrix
 products R @ accel, F @ P @ F.T, P[:, 3:6] @ inv(S), K @ (-v),
 IKH @ P @ IKH.T and K @ K.T. Those stay BLAS products, because a
 hand-written sum rounds differently in the last bits. ``run_ins`` loops the
-kernels over a stream and is itself pure, so independent trials can run in
-parallel.
+kernels over a stream and is itself pure, so independent passes can run in
+parallel: ``evaluate.run_trial`` runs its two fixed-threshold passes in
+forked child processes beside the adaptive one.
 """
 from __future__ import annotations
 

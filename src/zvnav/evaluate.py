@@ -10,12 +10,19 @@ the surveyed chain, where symmetric step-length errors cannot cancel the way
 they do at loop closure.
 
 ``run_trial`` compares the two fixed thresholds against the adaptive
-detector on one stream. Trials are independent and parallelizable; reports
-are deterministic given inputs and seed.
+detector on one stream. Its three INS passes are independent and pure, so
+after classifying and detecting it forks one child process per fixed
+threshold and runs the adaptive pass itself meanwhile; the children inherit
+their inputs through ``fork`` and send back only their scores. The report is
+the one a serial loop would give, and is deterministic given inputs and seed.
+``fork`` makes this POSIX-only.
 """
 from __future__ import annotations
 
 import math
+import multiprocessing
+import traceback
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,6 +150,60 @@ def per_marker_errors(traj: Trajectory, triggers: TriggerLog,
     return {mid: float(np.mean(v)) for mid, v in errors.items()}
 
 
+def check_triggers(stream: ImuStream, triggers: TriggerLog, marker_map: MarkerMap) -> None:
+    """Fail unless every trigger names a surveyed marker at a time inside the stream.
+
+    Also fails when the triggers cannot align a trajectory or never pass the
+    farthest marker: the checks every ``run_trial`` pass would fail.
+    """
+    if len(triggers) < 2:
+        raise ValueError("need at least two trigger events to align")
+    for time, mid in zip(triggers.t.tolist(), triggers.marker_ids.tolist()):
+        marker_map.position_of(mid)
+        if not stream.t[0] <= time <= stream.t[-1]:
+            raise ValueError(f"trigger time {time:.3f}s lies outside the IMU log span "
+                             f"({stream.t[0]:.3f}s to {stream.t[-1]:.3f}s)")
+    target = _farthest_marker(marker_map)
+    if target not in triggers.marker_ids:
+        raise ValueError(f"no trigger recorded for the farthest marker {target}")
+
+
+def _score(stream, zv, ekf_cfg, triggers, marker_map) -> tuple[float, dict, float]:
+    """One method's furthest-point error, per-marker errors and 2-D path length."""
+    traj = align_trajectory(run_ins(stream, zv, ekf_cfg), triggers, marker_map)
+    path_length = float(np.linalg.norm(np.diff(traj.pos[:, :2], axis=0), axis=1).sum())
+    return (furthest_point_error(traj, triggers, marker_map),
+            per_marker_errors(traj, triggers, marker_map), path_length)
+
+
+def _recorded_score(*args) -> tuple:
+    """``_score``'s result or exception, with the warnings it raised: (result, exc, warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return _score(*args), None, [w.message for w in caught]
+        except Exception as exc:
+            return None, exc, [w.message for w in caught]
+
+
+def _score_in_child(conn, *args) -> None:
+    result, exc, caught = _recorded_score(*args)
+    if exc is not None:
+        exc.add_note("in a forked scoring process:\n"
+                     + "".join(traceback.format_tb(exc.__traceback__)))
+    conn.send((result, exc, caught))
+    conn.close()
+
+
+def _received(child, conn, method: str) -> tuple:
+    try:
+        return conn.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(f"the {method} scoring process exited with code "
+                           f"{child.exitcode} before sending its scores") from None
+
+
 def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
               detector: DetectorParams, ekf_cfg: EkfConfig,
               triggers: TriggerLog, marker_map: MarkerMap,
@@ -153,12 +214,18 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
     smoothed classifier output for the reported SVM accuracy. The model must
     be binary; its second class is treated as the faster motion when
     switching thresholds.
+
+    The two fixed-threshold passes run in forked child processes while this
+    process runs the adaptive one; every child is joined before returning or
+    raising. Each pass's warnings are issued again here, then its exception
+    raised, in walk, run, adapt order.
     """
     if class_truth is not None:
         class_truth = np.asarray(class_truth)
         if class_truth.shape != (len(stream),):
             raise ValueError(f"class_truth holds {class_truth.size} labels for "
                              f"{len(stream)} samples; it must hold one per sample")
+    check_triggers(stream, triggers, marker_map)
     labels, binary = classify_motion(model, stream)
 
     zv_by_method = {
@@ -167,20 +234,35 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
         METHOD_ADAPT: detect_adaptive(stream, binary, detector, gammas),
     }
 
-    furthest = {}
-    per_marker = {}
-    path_length = 0.0
-    for method, zv in zv_by_method.items():
-        traj = align_trajectory(run_ins(stream, zv, ekf_cfg), triggers, marker_map)
-        furthest[method] = furthest_point_error(traj, triggers, marker_map)
-        per_marker[method] = per_marker_errors(traj, triggers, marker_map)
-        if method == METHOD_ADAPT:
-            path_length = float(
-                np.linalg.norm(np.diff(traj.pos[:, :2], axis=0), axis=1).sum()
-            )
+    fork = multiprocessing.get_context("fork")
+    children = {}
+    try:
+        for method in (METHOD_WALK, METHOD_RUN):
+            conn, child_conn = fork.Pipe(duplex=False)
+            child = fork.Process(target=_score_in_child, args=(
+                child_conn, stream, zv_by_method[method], ekf_cfg, triggers, marker_map))
+            with child_conn:
+                child.start()
+            children[method] = (child, conn)
+        adaptive = _recorded_score(stream, zv_by_method[METHOD_ADAPT], ekf_cfg,
+                                   triggers, marker_map)
+        outcomes = {method: _received(child, conn, method)
+                    for method, (child, conn) in children.items()}
+        outcomes[METHOD_ADAPT] = adaptive
+    finally:
+        for child, conn in children.values():
+            conn.close()
+            child.join()
 
+    for _, exc, caught in outcomes.values():
+        for message in caught:
+            warnings.warn(message, stacklevel=2)
+        if exc is not None:
+            raise exc
+    furthest = {method: result[0] for method, (result, _, _) in outcomes.items()}
+    per_marker = {method: result[1] for method, (result, _, _) in outcomes.items()}
     svm_accuracy = None if class_truth is None else float(np.mean(labels.smoothed == class_truth))
-    return TrialReport(furthest, per_marker, svm_accuracy, path_length)
+    return TrialReport(furthest, per_marker, svm_accuracy, outcomes[METHOD_ADAPT][0][2])
 
 
 def marker_layout_from_truth(truth: GaitTruth, every: int = 10) -> tuple[MarkerMap, TriggerLog]:

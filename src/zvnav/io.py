@@ -11,12 +11,11 @@ Config keys are the rows of ``CONFIG_TABLE``: (key, target, field, cast).
 """
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .core import ImuStream, gravity_vector, read_json_object
+from .core import ImuStream, gravity_vector, read_json_object, write_json
 from .detector import DetectorParams
 from .ekf import EkfConfig, Trajectory
 from .evaluate import TriggerLog
@@ -161,7 +160,7 @@ def write_marker_map_json(path, marker_map: MarkerMap) -> None:
         "loop_closure_m": float(marker_map.loop_closure_m),
         "path_length_m": float(marker_map.path_length_m),
     }
-    Path(path).write_text(json.dumps(data, sort_keys=True, indent=1))
+    write_json(path, data)
 
 
 def read_marker_map_json(path) -> MarkerMap:
@@ -204,7 +203,7 @@ def write_survey_json(path, stations) -> None:
             for obs in stations
         ]
     }
-    Path(path).write_text(json.dumps(data, sort_keys=True, indent=1))
+    write_json(path, data)
 
 
 # --- key-value config ---------------------------------------------------------

@@ -65,7 +65,10 @@ class MarkerMap:
         object.__setattr__(self, "marker_ids", tuple(int(i) for i in self.marker_ids))
 
     def position_of(self, marker_id: int) -> np.ndarray:
-        return self.positions[self.marker_ids.index(int(marker_id))]
+        try:
+            return self.positions[self.marker_ids.index(int(marker_id))]
+        except ValueError:
+            raise ValueError(f"marker {int(marker_id)} is not in the marker map") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,15 +17,13 @@ immutable and predictions are pure.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ImuStream, read_json_object
+from .core import ImuStream, read_json_object, write_json
 
 DEFAULT_WINDOW_LEN = 125
 DEFAULT_SMOOTH_WINDOW = 15
@@ -469,7 +467,7 @@ def model_from_dict(data: dict) -> SvmModel:
 
 
 def save_model(model: SvmModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True, indent=1))
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> SvmModel:

@@ -398,6 +398,19 @@ class TestEvalTrial:
         assert line == f"Error: {truth}: 2500 labels for the 6000 samples of {imu}"
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("1.0,99", "marker 99 is not in the marker map"),
+        ("80.0,1", "trigger time 80.000s lies outside the IMU log span (0.000s to 47.992s)"),
+    ])
+    def test_bad_trigger_names_the_triggers_file(self, workdir, tmp_path, row, message):
+        triggers = tmp_path / "triggers.csv"
+        lines = (workdir / "triggers.csv").read_text().splitlines()
+        triggers.write_text("\n".join(lines[:2] + [row]) + "\n")
+        args = self.args(workdir, tmp_path / "report.json")
+        args[args.index("--triggers") + 1] = str(triggers)
+        assert cli_error(args) == f"Error: {triggers}: {message}"
+        assert not (tmp_path / "report.json").exists()
+
     def test_eval_deterministic(self, workdir, tmp_path):
         report = tmp_path / "report.json"
         rerun_identical(self.args(workdir, report), [report])

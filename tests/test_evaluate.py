@@ -1,4 +1,8 @@
+import json
 import math
+import multiprocessing
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from zvnav.core import Quaternion, quat_to_rotation
 from zvnav.detector import detect, detect_adaptive
 from zvnav.evaluate import (
+    TrialReport,
     TriggerLog,
     align_trajectory,
     furthest_point_error,
@@ -17,6 +22,7 @@ from zvnav.evaluate import (
 )
 from zvnav.ekf import Trajectory, run_ins
 from zvnav.simulate import NoiseModel, simulate
+from zvnav.svm import classify_motion
 from zvnav.survey import MarkerMap
 
 from conftest import mixed_segments, out_and_back
@@ -242,3 +248,142 @@ class TestRunTrial:
         errors = per_marker_errors(aligned, triggers, marker_map)
         assert set(errors) == set(int(m) for m in triggers.marker_ids)
         assert all(v >= 0 for v in errors.values())
+
+    @pytest.mark.parametrize("trigger_t, marker_ids, message", [
+        ([1.0, 5.0, 9.0], [0, 1, 99], "marker 99 is not in the marker map"),
+        ([1.0, 5.0, 80.0], [0, 1, 2],
+         r"trigger time 80.000s lies outside the IMU log span \(0.000s to 58.992s\)"),
+    ])
+    def test_bad_trigger_fails_before_classifying(self, adaptive_setup, monkeypatch,
+                                                  trigger_t, marker_ids, message):
+        stream, _ = simulate(mixed_segments(), NoiseModel(seed=56))
+
+        def no_classify(*args, **kwargs):
+            raise AssertionError("classified before the triggers were checked")
+
+        monkeypatch.setattr("zvnav.evaluate.classify_motion", no_classify)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_trial(stream, adaptive_setup["model"], adaptive_setup["gammas"],
+                      adaptive_setup["detector"], adaptive_setup["ekf"],
+                      TriggerLog(np.array(trigger_t), np.array(marker_ids)), straight_map(3))
+
+
+class PassFailed(Exception):
+    """Raised by a patched ``run_ins``; a module-level class, so a child can pickle it."""
+
+
+class PassInterrupted(BaseException):
+    """Escapes the per-pass ``except Exception``, as an interrupt would."""
+
+
+class TestParallelRunTrial:
+    """The fixed-threshold passes run in forked children; forks inherit monkeypatches."""
+
+    @pytest.fixture(scope="class")
+    def trial(self):
+        stream, truth = simulate(mixed_segments(), NoiseModel(seed=57))
+        marker_map, triggers = marker_layout_from_truth(truth, every=10)
+        return stream, truth, marker_map, triggers
+
+    @staticmethod
+    def run(trial, setup):
+        stream, truth, marker_map, triggers = trial
+        return run_trial(stream, setup["model"], setup["gammas"], setup["detector"],
+                         setup["ekf"], triggers, marker_map, class_truth=truth.labels)
+
+    @staticmethod
+    def flags(trial, setup):
+        stream = trial[0]
+        det, gammas = setup["detector"], setup["gammas"]
+        labels, binary = classify_motion(setup["model"], stream)
+        flags = {
+            "gamma_walk": detect(stream, replace(det, gamma=gammas.gamma_walk)),
+            "gamma_run": detect(stream, replace(det, gamma=gammas.gamma_run)),
+            "gamma_adapt": detect_adaptive(stream, binary, det, gammas),
+        }
+        return labels, flags
+
+    def test_report_equals_a_serial_loop(self, trial, adaptive_setup):
+        stream, truth, marker_map, triggers = trial
+        labels, flags = self.flags(trial, adaptive_setup)
+        furthest, per_marker = {}, {}
+        for method, zv in flags.items():
+            traj = align_trajectory(run_ins(stream, zv, adaptive_setup["ekf"]),
+                                    triggers, marker_map)
+            furthest[method] = furthest_point_error(traj, triggers, marker_map)
+            per_marker[method] = per_marker_errors(traj, triggers, marker_map)
+        path_length = float(np.linalg.norm(np.diff(traj.pos[:, :2], axis=0), axis=1).sum())
+        serial = TrialReport(furthest, per_marker,
+                             float(np.mean(labels.smoothed == truth.labels)), path_length)
+        # json.dumps keeps key order and writes floats by repr: equal text is
+        # equal values in equal order
+        assert json.dumps(self.run(trial, adaptive_setup).to_dict()) == json.dumps(serial.to_dict())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing, raised", [
+        (("gamma_walk",), "gamma_walk"),
+        (("gamma_run", "gamma_adapt"), "gamma_run"),
+        (("gamma_walk", "gamma_run", "gamma_adapt"), "gamma_walk"),
+        (("gamma_adapt",), "gamma_adapt"),
+    ])
+    def test_first_failing_pass_raises_in_the_caller(self, trial, adaptive_setup, monkeypatch,
+                                                     failing, raised):
+        _, flags = self.flags(trial, adaptive_setup)
+        assert not any(np.array_equal(flags[a], flags[b])
+                       for a, b in [("gamma_walk", "gamma_run"), ("gamma_walk", "gamma_adapt"),
+                                    ("gamma_run", "gamma_adapt")])
+
+        def failing_ins(stream, zv, cfg=None):
+            for method in failing:
+                if np.array_equal(zv, flags[method]):
+                    raise PassFailed(f"{method} pass failed")
+            return run_ins(stream, zv, cfg)
+
+        monkeypatch.setattr("zvnav.evaluate.run_ins", failing_ins)
+        with pytest.raises(PassFailed) as err:
+            self.run(trial, adaptive_setup)
+        assert str(err.value) == f"{raised} pass failed"
+        assert multiprocessing.active_children() == []
+
+    def test_children_are_joined_when_the_callers_pass_is_interrupted(
+            self, trial, adaptive_setup, monkeypatch):
+        _, flags = self.flags(trial, adaptive_setup)
+
+        def interrupted_ins(stream, zv, cfg=None):
+            if np.array_equal(zv, flags["gamma_adapt"]):
+                raise PassInterrupted
+            return run_ins(stream, zv, cfg)
+
+        monkeypatch.setattr("zvnav.evaluate.run_ins", interrupted_ins)
+        with pytest.raises(PassInterrupted):
+            self.run(trial, adaptive_setup)
+        # the children were still inside their INS passes when this was raised
+        assert multiprocessing.active_children() == []
+
+    def test_warning_of_a_fixed_pass_reaches_the_caller(self, trial, adaptive_setup,
+                                                        monkeypatch):
+        gamma_walk = adaptive_setup["gammas"].gamma_walk
+
+        def late_first_stance(stream, params):
+            flags = detect(stream, params)
+            if params.gamma == gamma_walk:
+                flags[stream.t <= stream.t[0] + 1.0] = False
+            return flags
+
+        monkeypatch.setattr("zvnav.evaluate.detect", late_first_stance)
+        with pytest.warns(UserWarning, match="no stationary samples in the first second") as rec:
+            self.run(trial, adaptive_setup)
+        assert sum("first second" in str(w.message) for w in rec) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_caller_runs_only_the_adaptive_ins_pass(self, trial, adaptive_setup, monkeypatch):
+        # the benchmark's tracer sees only this process's calls
+        callers = []
+
+        def counting_ins(*args, **kwargs):
+            callers.append(os.getpid())
+            return run_ins(*args, **kwargs)
+
+        monkeypatch.setattr("zvnav.evaluate.run_ins", counting_ins)
+        self.run(trial, adaptive_setup)
+        assert callers == [os.getpid()]

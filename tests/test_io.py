@@ -1,13 +1,16 @@
+import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zvnav import io as zio
+from zvnav.core import write_json
 from zvnav.ekf import EkfConfig, run_ins
 from zvnav.evaluate import TriggerLog, marker_layout_from_truth
 from zvnav.optimize import MocapStream, PrCurve
@@ -162,7 +165,32 @@ class TestOtherCsv:
         assert (tmp_path / "p.csv").read_text().splitlines()[:2] == ["t,y_raw,y_smooth", "0.0,0,0"]
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(st.floats())
+                   | st.dictionaries(st.text(), inner) | st.dictionaries(st.integers(), inner)),
+    max_leaves=40,
+)
+
+
 class TestJson:
+    @settings(max_examples=200, deadline=None)
+    @given(json_values)
+    @example({"b": [-0.0, math.nan, math.inf, -math.inf], "a": [[], {}, ()], "c": [1.5, 2.0]})
+    @example({1.5: [True, None], -2.0: [[0.1, 2e-300], [1, 2.0]], math.inf: "\u00e9"})
+    def test_write_json_writes_the_text_of_json_dumps(self, tmp_path_factory, value):
+        path = tmp_path_factory.getbasetemp() / "write_json.json"
+        write_json(path, value)
+        assert path.read_text() == json.dumps(value, sort_keys=True, indent=1)
+
+    @pytest.mark.parametrize("value", [{(1, 2): 0}, [object()], {"a": {1, 2}}])
+    def test_write_json_rejects_what_json_dumps_rejects(self, tmp_path, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, sort_keys=True, indent=1)
+        with pytest.raises(TypeError) as raised:
+            write_json(tmp_path / "x.json", value)
+        assert str(raised.value) == str(expected.value)
+
     def test_marker_map_round_trip(self, tmp_path, short_trial):
         _, truth = short_trial
         marker_map, _ = marker_layout_from_truth(truth, every=2)

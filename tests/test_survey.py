@@ -213,3 +213,9 @@ class TestBuildMap:
     def test_map_requires_marker_zero_at_origin(self):
         with pytest.raises(ValueError):
             MarkerMap((0, 1), np.array([[1.0, 0, 0], [2.0, 0, 0]]), 0.0, 1.0)
+
+    def test_position_of_an_unknown_marker_names_it(self):
+        m = MarkerMap((0, 1), np.array([[0.0, 0, 0], [2.0, 0, 0]]), 0.0, 2.0)
+        assert np.array_equal(m.position_of(1), [2.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="^marker 7 is not in the marker map$"):
+            m.position_of(7)
