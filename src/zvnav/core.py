@@ -11,8 +11,9 @@ Conventions used throughout the package:
   they are safe to share between threads.
 - The EKF step state is floats: the quaternion helpers below take any
   sequence of floats (a numpy array included), use ``math`` and return
-  tuples of floats. Only ``_rotmat_from_quat`` returns an array, the operand
-  of the EKF's ``R @ accel`` product. ``_quat_mul`` is plain arithmetic, so
+  tuples of floats. ``_rotmat_entries`` returns the rotation matrix as nine
+  floats, which the EKF writes into the R of its workspace and
+  ``quat_to_rotation`` into a new array. ``_quat_mul`` is plain arithmetic, so
   it also multiplies a stack: give it component arrays and it returns them.
 """
 from __future__ import annotations
@@ -160,13 +161,12 @@ def _quat_from_rotvec(phi):
     return _quat_normalize((math.cos(half), x * s, y * s, z * s))
 
 
-def _rotmat_from_quat(q) -> np.ndarray:
+def _rotmat_entries(q) -> tuple:
+    """Row-major entries of the rotation matrix of the unit quaternion ``q``."""
     w, x, y, z = q
-    return np.array([
-        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-        [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-    ])
+    return (1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
+            2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x),
+            2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def quat_to_rotation(q: Quaternion) -> np.ndarray:
     arr = q.as_array()
     if not np.all(np.isfinite(arr)):
         raise ValueError("quaternion components must be finite")
-    return _rotmat_from_quat(_quat_normalize(arr))
+    return np.array(_rotmat_entries(_quat_normalize(arr))).reshape(3, 3)
 
 
 # ---------------------------------------------------------------------------

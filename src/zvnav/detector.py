@@ -78,14 +78,16 @@ def _window_statistics(accel_w: np.ndarray, gyro_w: np.ndarray,
                        params: DetectorParams) -> np.ndarray:
     """Statistics for stacked windows, shape (m, W, 3) each."""
     W = params.W
-    mean_a = accel_w.mean(axis=1)                      # (m, 3)
-    norm_mean = np.linalg.norm(mean_a, axis=1)         # (m,)
-    safe = np.where(norm_mean > 0, norm_mean, 1.0)
-    unit = mean_a / safe[:, None]
-    dev = accel_w - (params.g * unit)[:, None, :]
-    acc_term = np.einsum("ijk,ijk->i", dev, dev)
-    gyr_term = np.einsum("ijk,ijk->i", gyro_w, gyro_w)
-    stats = (acc_term / params.sigma_a**2 + gyr_term / params.sigma_w**2) / W
+    # a window whose energy overflows gets inf or NaN, so it is never stationary
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_a = accel_w.mean(axis=1)                  # (m, 3)
+        norm_mean = np.linalg.norm(mean_a, axis=1)     # (m,)
+        safe = np.where(norm_mean > 0, norm_mean, 1.0)
+        unit = mean_a / safe[:, None]
+        dev = accel_w - (params.g * unit)[:, None, :]
+        acc_term = np.einsum("ijk,ijk->i", dev, dev)
+        gyr_term = np.einsum("ijk,ijk->i", gyro_w, gyro_w)
+        stats = (acc_term / params.sigma_a**2 + gyr_term / params.sigma_w**2) / W
     # zero mean specific force means free fall, never midstance
     stats[norm_mean == 0] = np.inf
     return stats

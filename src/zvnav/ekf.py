@@ -16,16 +16,18 @@ A zero-velocity update fuses the pseudo-measurement z = 0 of velocity with
 H = [0 I 0] and R = sigma_zupt^2 I, using the Joseph-form covariance update;
 the covariance is re-symmetrized after every step.
 
-The step kernels are ``propagate`` and ``zupt_update``: pure functions that
-take p, v and q as float tuples (or arrays) and the 9x9 covariance P as an
-array, and return new ones, with p, v and q as tuples of Python floats.
+The step kernels are ``propagate`` and ``zupt_update``: they take p, v and q
+as float tuples (or arrays), the 9x9 covariance P and a ``Workspace`` of
+scratch arrays (F, R, F P F^T, S, I - KH), and return new p, v, q and P,
+with p, v and q as tuples of Python floats. ``run_ins`` makes one workspace
+per call and reuses it for every sample; no scratch lives at module level.
 Scalar arithmetic stays on Python floats; numpy runs only the matrix
 products R @ accel, F @ P @ F.T, P[:, 3:6] @ inv(S), K @ (-v),
-IKH @ P @ IKH.T and K @ K.T. Those stay BLAS products, because a
-hand-written sum rounds differently in the last bits. ``run_ins`` loops the
-kernels over a stream and is itself pure, so independent passes can run in
-parallel: ``evaluate.run_trial`` runs its two fixed-threshold passes in
-forked child processes beside the adaptive one.
+IKH @ P @ IKH.T and K @ K.T, with the operands, shapes and layouts that new
+arrays would have. Those stay BLAS products, because a hand-written sum
+rounds differently in the last bits. ``run_ins`` is pure, so independent
+passes can run in parallel: ``evaluate.run_trial`` runs its two
+fixed-threshold passes in forked child processes beside the adaptive one.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from .core import (
     _quat_from_rotvec,
     _quat_mul,
     _quat_normalize,
-    _rotmat_from_quat,
+    _rotmat_entries,
     gravity_vector,
     GRAVITY,
 )
@@ -85,15 +87,35 @@ class EkfConfig:
 # ---------------------------------------------------------------------------
 
 
-_EYE9 = np.eye(9)
+_EYE9_V = np.eye(9)[:, 3:6]  # the constant part of I - KH's velocity columns
+_EYE9_V.flags.writeable = False
+# np.linalg.inv's gufunc without the wrapper's checks: a singular S gives NaNs
+_inv = np.linalg._umath_linalg.inv
 
 
-def propagate(p, v, q, P, accel, gyro, dt, g, sig_a, sig_g):
+class Workspace:
+    """The step kernels' scratch arrays and flat memoryviews of their entries.
+
+    F and I - KH keep their constant entries between steps. One sequence of
+    steps owns a workspace; threads never share one."""
+
+    def __init__(self):
+        self.F, self.R, self.FPF, self.S, self.IKH = (
+            np.eye(9), np.empty((3, 3)), np.empty((9, 9)), np.empty((3, 3)), np.eye(9))
+        self.F_flat, self.R_flat, self.FPF_flat, self.S_flat = (
+            memoryview(a).cast("B").cast("d") for a in (self.F, self.R, self.FPF, self.S))
+        self.IKH_V = self.IKH[:, 3:6]
+
+
+def propagate(p, v, q, P, accel, gyro, dt, g, sig_a, sig_g, ws=None):
     """Advance position, velocity, quaternion and covariance by one IMU sample."""
+    ws = ws or Workspace()
     p0, p1, p2 = p
     v0, v1, v2 = v
     g0, g1, g2 = g
-    f0, f1, f2 = (_rotmat_from_quat(q) @ accel).tolist()
+    m = ws.R_flat
+    m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7], m[8] = _rotmat_entries(q)
+    f0, f1, f2 = (ws.R @ accel).tolist()
     p_new = (p0 + v0 * dt, p1 + v1 * dt, p2 + v2 * dt)
     v_new = (v0 + (f0 + g0) * dt, v1 + (f1 + g1) * dt, v2 + (f2 + g2) * dt)
     w0, w1, w2 = gyro
@@ -101,34 +123,30 @@ def propagate(p, v, q, P, accel, gyro, dt, g, sig_a, sig_g):
 
     # F = I + [[0, I dt, 0], [0, 0, -[f_nav]x dt], [0, 0, 0]]; the zero
     # diagonal of -[f_nav]x dt is -0.0 * dt, as the product of the skew matrix
-    F = _EYE9.copy()
-    F[0, 3] = F[1, 4] = F[2, 5] = dt
+    m = ws.F_flat
     z = -0.0 * dt
-    F[3:6, 6:9] = ((z, f2 * dt, -f1 * dt),
-                   (-f2 * dt, z, f0 * dt),
-                   (f1 * dt, -f0 * dt, z))
+    m[3] = m[13] = m[23] = dt
+    m[33], m[34], m[35] = z, f2 * dt, -f1 * dt
+    m[42], m[43], m[44] = -f2 * dt, z, f0 * dt
+    m[51], m[52], m[53] = f1 * dt, -f0 * dt, z
 
-    P_new = F @ P @ F.T
+    np.matmul(ws.F @ P, ws.F.T, out=ws.FPF)
     qa = (sig_a * dt) ** 2
     qg = (sig_g * dt) ** 2
-    P_new[3, 3] += qa
-    P_new[4, 4] += qa
-    P_new[5, 5] += qa
-    P_new[6, 6] += qg
-    P_new[7, 7] += qg
-    P_new[8, 8] += qg
-    P_new = 0.5 * (P_new + P_new.T)
-    return p_new, v_new, q_new, P_new
+    m = ws.FPF_flat
+    m[30], m[40], m[50] = m[30] + qa, m[40] + qa, m[50] + qa
+    m[60], m[70], m[80] = m[60] + qg, m[70] + qg, m[80] + qg
+    return p_new, v_new, q_new, 0.5 * (ws.FPF + ws.FPF.T)
 
 
-def zupt_update(p, v, q, P, sigma_zupt):
+def zupt_update(p, v, q, P, sigma_zupt, ws=None):
     """Fuse one zero-velocity pseudo-measurement and inject the correction."""
+    ws = ws or Workspace()
     r = sigma_zupt * sigma_zupt
-    S = P[3:6, 3:6].copy()
-    S[0, 0] += r
-    S[1, 1] += r
-    S[2, 2] += r
-    K = P[:, 3:6] @ np.linalg.inv(S)
+    ws.S[...] = P[3:6, 3:6]
+    m = ws.S_flat
+    m[0], m[4], m[8] = m[0] + r, m[4] + r, m[8] + r
+    K = P[:, 3:6] @ _inv(ws.S, signature="d->d")
     v0, v1, v2 = v
     d0, d1, d2, d3, d4, d5, d6, d7, d8 = (K @ np.array((-v0, -v1, -v2))).tolist()
 
@@ -137,11 +155,9 @@ def zupt_update(p, v, q, P, sigma_zupt):
     v_new = (v0 + d3, v1 + d4, v2 + d5)
     q_new = _quat_normalize(_quat_mul(_quat_from_rotvec((d6, d7, d8)), q))
 
-    IKH = _EYE9.copy()
-    IKH[:, 3:6] -= K
-    P_new = IKH @ P @ IKH.T + r * (K @ K.T)
-    P_new = 0.5 * (P_new + P_new.T)
-    return p_new, v_new, q_new, P_new
+    np.subtract(_EYE9_V, K, out=ws.IKH_V)
+    P_new = ws.IKH @ P @ ws.IKH.T + r * (K @ K.T)
+    return p_new, v_new, q_new, 0.5 * (P_new + P_new.T)
 
 
 def _ins_loop(t, accel, gyro, zv, q0, P0, g, sig_a, sig_g, sig_z):
@@ -152,16 +168,27 @@ def _ins_loop(t, accel, gyro, zv, q0, P0, g, sig_a, sig_g, sig_z):
     zv = zv.tolist()
     g = g.tolist()
     out = np.empty((n, 10))
+    ws = Workspace()
     p, v, q, P = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), tuple(q0.tolist()), P0
-    if zv[0]:
-        p, v, q, P = zupt_update(p, v, q, P, sig_z)
-    out[0] = p + v + q
-    for k in range(1, n):
-        dt = dts.item(k - 1)
-        p, v, q, P = propagate(p, v, q, P, accel[k], gyro[k].tolist(), dt, g, sig_a, sig_g)
-        if zv[k]:
-            p, v, q, P = zupt_update(p, v, q, P, sig_z)
-        out[k] = p + v + q
+    k = 0
+    # a diverging filter overflows: numpy stays silent, and the check below reports it
+    with np.errstate(all="ignore"):
+        try:
+            if zv[0]:
+                p, v, q, P = zupt_update(p, v, q, P, sig_z, ws)
+            out[0] = p + v + q
+            for k in range(1, n):
+                dt = dts.item(k - 1)
+                p, v, q, P = propagate(p, v, q, P, accel[k], gyro[k].tolist(), dt, g,
+                                       sig_a, sig_g, ws)
+                if zv[k]:
+                    p, v, q, P = zupt_update(p, v, q, P, sig_z, ws)
+                out[k] = p + v + q
+        except ValueError:  # math.sin of an infinite rotation angle
+            out[k:] = math.nan
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise ValueError(f"the filter diverged: its state is not finite at t = {t[bad[0]]:.3f} s")
     return out[:, 0:3], out[:, 3:6], out[:, 6:10]
 
 
@@ -214,7 +241,8 @@ def run_ins(stream: ImuStream, zv, cfg: EkfConfig | None = None) -> Trajectory:
     ``zv`` is one stationary flag per sample; the update is applied at every
     flagged sample. Initial roll/pitch is leveled from the mean accel of the
     first contiguous stationary run inside the first second (falling back,
-    with a warning, to the first 50 samples); initial yaw is zero.
+    with a warning, to the first 50 samples); initial yaw is zero. A state
+    that is not finite, from a diverging filter, raises ``ValueError``.
     """
     cfg = cfg or EkfConfig()
     zv = np.asarray(zv, dtype=bool)

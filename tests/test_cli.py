@@ -2,6 +2,8 @@ import importlib
 import inspect
 import json
 import pkgutil
+import re
+import warnings
 
 import click
 import numpy as np
@@ -11,6 +13,7 @@ from click.testing import CliRunner
 import zvnav
 from zvnav import io as zio
 from zvnav.cli import _Group, main
+from zvnav.core import ImuStream
 from zvnav.svm import save_model, train
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -325,6 +328,21 @@ class TestInsRun:
         line = cli_error(["ins", "run", "--imu", str(workdir / "walk.csv"), "--gamma", "340000",
                           "--config", str(cfg), "--out", str(tmp_path / "traj.csv")])
         assert line == f"Error: {cfg}: {message}"
+
+    def test_a_diverging_filter_is_a_one_line_error_and_writes_no_file(self, workdir, tmp_path):
+        stream = zio.read_imu_csv(workdir / "walk.csv")
+        accel = stream.accel.copy()
+        accel[200:203] = 1e160
+        imu = tmp_path / "burst.csv"
+        zio.write_imu_csv(imu, ImuStream(stream.t, accel, stream.gyro))
+        out = tmp_path / "traj.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            line = cli_error(["ins", "run", "--imu", str(imu), "--gamma", "1e5",
+                              "--out", str(out)])
+        assert re.fullmatch(r"Error: the filter diverged: its state is not finite "
+                            r"at t = \d+\.\d{3} s", line), line
+        assert not out.exists()
 
     def test_run_deterministic(self, workdir, tmp_path):
         out = tmp_path / "traj.csv"

@@ -1,4 +1,7 @@
 import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,8 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from zvnav.core import GRAVITY, ImuStream, Quaternion, quat_to_rotation
-from zvnav.ekf import EkfConfig, level_from_accel, propagate, run_ins, zupt_update
+from zvnav.core import (
+    GRAVITY,
+    ImuStream,
+    Quaternion,
+    _quat_from_rotvec,
+    _quat_mul,
+    _quat_normalize,
+    quat_to_rotation,
+)
+from zvnav.ekf import EkfConfig, Workspace, level_from_accel, propagate, run_ins, zupt_update
 from zvnav.simulate import NoiseModel, gait_preset, simulate
 
 G_UP = np.array([0.0, 0.0, GRAVITY])
@@ -142,6 +153,123 @@ def test_step_keeps_covariance_spd_and_quaternion_unit(inputs, with_zupt):
     assert abs(np.linalg.norm(q) - 1.0) < 1e-9
 
 
+# Reference step kernels that build new R, F, S and I - KH arrays at every
+# step and invert S with np.linalg.inv; the workspace kernels must match them
+# bit for bit.
+def reference_propagate(p, v, q, P, accel, gyro, dt, g, sig_a, sig_g):
+    p0, p1, p2 = p
+    v0, v1, v2 = v
+    g0, g1, g2 = g
+    qw, qx, qy, qz = q
+    R = np.array([
+        [1.0 - 2.0 * (qy * qy + qz * qz), 2.0 * (qx * qy - qw * qz), 2.0 * (qx * qz + qw * qy)],
+        [2.0 * (qx * qy + qw * qz), 1.0 - 2.0 * (qx * qx + qz * qz), 2.0 * (qy * qz - qw * qx)],
+        [2.0 * (qx * qz - qw * qy), 2.0 * (qy * qz + qw * qx), 1.0 - 2.0 * (qx * qx + qy * qy)],
+    ])
+    f0, f1, f2 = (R @ accel).tolist()
+    p_new = (p0 + v0 * dt, p1 + v1 * dt, p2 + v2 * dt)
+    v_new = (v0 + (f0 + g0) * dt, v1 + (f1 + g1) * dt, v2 + (f2 + g2) * dt)
+    w0, w1, w2 = gyro
+    q_new = _quat_normalize(_quat_mul(q, _quat_from_rotvec((w0 * dt, w1 * dt, w2 * dt))))
+
+    F = np.eye(9)
+    F[0, 3] = F[1, 4] = F[2, 5] = dt
+    z = -0.0 * dt
+    F[3:6, 6:9] = ((z, f2 * dt, -f1 * dt),
+                   (-f2 * dt, z, f0 * dt),
+                   (f1 * dt, -f0 * dt, z))
+
+    P_new = F @ P @ F.T
+    qa = (sig_a * dt) ** 2
+    qg = (sig_g * dt) ** 2
+    P_new[3, 3] += qa
+    P_new[4, 4] += qa
+    P_new[5, 5] += qa
+    P_new[6, 6] += qg
+    P_new[7, 7] += qg
+    P_new[8, 8] += qg
+    P_new = 0.5 * (P_new + P_new.T)
+    return p_new, v_new, q_new, P_new
+
+
+def reference_zupt_update(p, v, q, P, sigma_zupt):
+    r = sigma_zupt * sigma_zupt
+    S = P[3:6, 3:6].copy()
+    S[0, 0] += r
+    S[1, 1] += r
+    S[2, 2] += r
+    K = P[:, 3:6] @ np.linalg.inv(S)
+    v0, v1, v2 = v
+    d0, d1, d2, d3, d4, d5, d6, d7, d8 = (K @ np.array((-v0, -v1, -v2))).tolist()
+
+    p0, p1, p2 = p
+    p_new = (p0 + d0, p1 + d1, p2 + d2)
+    v_new = (v0 + d3, v1 + d4, v2 + d5)
+    q_new = _quat_normalize(_quat_mul(_quat_from_rotvec((d6, d7, d8)), q))
+
+    IKH = np.eye(9)
+    IKH[:, 3:6] -= K
+    P_new = IKH @ P @ IKH.T + r * (K @ K.T)
+    P_new = 0.5 * (P_new + P_new.T)
+    return p_new, v_new, q_new, P_new
+
+
+def bits(*arrays):
+    """The bit patterns of float arrays or tuples: unlike ==, they tell -0.0 from 0.0."""
+    return [np.asarray(a, dtype=np.float64).view(np.uint64) for a in arrays]
+
+
+def assert_same_bits(a, b):
+    assert all(np.array_equal(x, y) for x, y in zip(bits(*a), bits(*b), strict=True))
+
+
+ZERO3 = np.zeros(3)
+
+
+@st.composite
+def step_sequences(draw):
+    """A state and 1-4 IMU samples with ZUPT flags.
+
+    Some vectors are exactly zero, and some rotation vectors gyro * dt lie
+    below the 1e-12 first-order branch of the rotation-vector exponential.
+    """
+    A = draw(arrays(np.float64, (9, 9), elements=st.floats(-1.0, 1.0)))
+    spd = draw(st.floats(1e-6, 1.0)) * (A @ A.T + 1e-6 * np.eye(9))
+    P = draw(st.sampled_from([spd, EkfConfig().initial_covariance()]))
+    q = draw(vectors(1.0, 4).filter(lambda q: np.linalg.norm(q) > 1e-3))
+    state = (draw(st.one_of(vectors(1e3), st.just(ZERO3))),
+             draw(st.one_of(vectors(10.0), st.just(ZERO3))), q / np.linalg.norm(q), P)
+    samples = draw(st.lists(st.tuples(
+        st.one_of(vectors(200.0), st.just(ZERO3)),
+        st.one_of(vectors(40.0), vectors(1e-11), st.just(ZERO3)),
+        st.floats(1e-3, 2e-2),
+        st.booleans(),
+    ), min_size=1, max_size=4))
+    return state, samples
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_sequences())
+def test_kernels_match_the_reference_bit_for_bit(case):
+    state, samples = case
+    cfg = EkfConfig()
+    args = cfg.g, cfg.sigma_accel, cfg.sigma_gyro
+    reference = fresh = reused = state
+    ws = Workspace()
+    for accel, gyro, dt, with_zupt in samples:
+        reference = reference_propagate(*reference, accel, gyro, dt, *args)
+        fresh = propagate(*fresh, accel, gyro, dt, *args)
+        reused = propagate(*reused, accel, gyro, dt, *args, ws)
+        assert_same_bits(fresh, reference)
+        assert_same_bits(reused, reference)
+        if with_zupt:
+            reference = reference_zupt_update(*reference, cfg.sigma_zupt)
+            fresh = zupt_update(*fresh, cfg.sigma_zupt)
+            reused = zupt_update(*reused, cfg.sigma_zupt, ws)
+            assert_same_bits(fresh, reference)
+            assert_same_bits(reused, reference)
+
+
 @st.composite
 def flagged_streams(draw):
     """A short stream with random ZUPT flags; sample 0 alone starts stationary."""
@@ -246,6 +374,40 @@ class TestRunIns:
         assert np.array_equal(a.pos, b.pos)
         assert np.array_equal(a.vel, b.vel)
         assert np.array_equal(a.quat, b.quat)
+
+    def test_concurrent_runs_share_no_scratch(self):
+        cases = [simulate(gait_preset(motion, duration=3.0), NoiseModel(seed=seed))
+                 for motion, seed in (("walk", 21), ("run", 22), ("walk", 23), ("run", 24))]
+        sequential = [run_ins(stream, truth.stance) for stream, truth in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+                futures = [pool.submit(run_ins, stream, truth.stance) for stream, truth in cases]
+                concurrent = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(sequential, concurrent):
+            assert_same_bits((a.pos, a.vel, a.quat), (b.pos, b.vel, b.quat))
+
+    @pytest.mark.parametrize("channel", ["accel", "gyro"])
+    def test_a_diverging_filter_names_the_first_state_not_finite(self, channel):
+        stream, truth = simulate(gait_preset("walk", duration=4.0), NoiseModel(seed=3))
+        channels = {"accel": stream.accel.copy(), "gyro": stream.gyro.copy()}
+        channels[channel][200:203] = 1e160
+        burst = ImuStream(stream.t, channels["accel"], channels["gyro"])
+        if channel == "accel":
+            # P overflows at the burst; the state follows at the next update
+            first = 200 + int(np.argmax(truth.stance[200:]))
+        else:
+            # the rotation angle overflows at once
+            first = 200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                run_ins(burst, truth.stance)
+        assert str(info.value) == (f"the filter diverged: its state is not finite at "
+                                   f"t = {stream.t[first]:.3f} s")
 
     def test_trajectory_accessors(self):
         stream, truth = simulate(gait_preset("walk", duration=2.0), NoiseModel(seed=6))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zvnav.core import Quaternion, quat_to_rotation
+from zvnav.core import ImuStream, Quaternion, quat_to_rotation
 from zvnav.detector import detect, detect_adaptive
 from zvnav.evaluate import (
     TrialReport,
@@ -343,6 +343,25 @@ class TestParallelRunTrial:
         with pytest.raises(PassFailed) as err:
             self.run(trial, adaptive_setup)
         assert str(err.value) == f"{raised} pass failed"
+        assert multiprocessing.active_children() == []
+
+    # the classifier warns on the burst's overflowing features
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_diverging_pass_raises_in_walk_run_adapt_order(self, trial, adaptive_setup):
+        stream, truth, marker_map, triggers = trial
+        accel = stream.accel.copy()
+        accel[500:503] = 1e160
+        burst = ImuStream(stream.t, accel, stream.gyro)
+        _, flags = self.flags((burst,), adaptive_setup)
+        messages = {}
+        for method, zv in flags.items():
+            with pytest.raises(ValueError, match="the filter diverged") as err:
+                run_ins(burst, zv, adaptive_setup["ekf"])
+            messages[method] = str(err.value)
+        assert messages["gamma_walk"] not in (messages["gamma_run"], messages["gamma_adapt"])
+        with pytest.raises(ValueError) as err:
+            self.run((burst, truth, marker_map, triggers), adaptive_setup)
+        assert str(err.value) == messages["gamma_walk"]
         assert multiprocessing.active_children() == []
 
     def test_children_are_joined_when_the_callers_pass_is_interrupted(
