@@ -69,8 +69,12 @@ class EkfConfig:
     def __post_init__(self):
         for name in ("sigma_accel", "sigma_gyro", "sigma_zupt",
                      "init_pos_std", "init_vel_std", "init_att_std"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
+            # the filter squares each one, and a float ** that overflows raises
+            if math.isinf(value * value):
+                raise ValueError(f"{name} = {value:g} is too large: its square overflows")
         object.__setattr__(self, "g", np.asarray(self.g, dtype=np.float64))
 
     def initial_covariance(self) -> np.ndarray:
@@ -184,7 +188,8 @@ def _ins_loop(t, accel, gyro, zv, q0, P0, g, sig_a, sig_g, sig_z):
                 if zv[k]:
                     p, v, q, P = zupt_update(p, v, q, P, sig_z, ws)
                 out[k] = p + v + q
-        except ValueError:  # math.sin of an infinite rotation angle
+        # math.sin of an infinite rotation angle; (sigma * dt) ** 2 at a low sample rate
+        except (ValueError, OverflowError):
             out[k:] = math.nan
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:

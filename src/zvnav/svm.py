@@ -30,6 +30,7 @@ DEFAULT_SMOOTH_WINDOW = 15
 DEFAULT_SMOOTH_THRESHOLD = 0.2
 KKT_TOLERANCE = 1e-3
 CHUNK_WINDOWS = 2048
+_KERNEL_BLOCK = 256
 
 
 class TrainingFailedError(RuntimeError):
@@ -92,16 +93,35 @@ def build_windows(stream: ImuStream, window_len: int = DEFAULT_WINDOW_LEN,
 # ---------------------------------------------------------------------------
 
 
+def _row_norms_sq(x: np.ndarray) -> np.ndarray:
+    """||x_i||^2 per row, summed ``_KERNEL_BLOCK`` rows at a time."""
+    return np.concatenate([np.sum(blk * blk, axis=1)
+                           for blk in np.split(x, range(_KERNEL_BLOCK, len(x), _KERNEL_BLOCK))])
+
+
 def rbf_kernel(a: np.ndarray, b: np.ndarray, kernel_width: float) -> np.ndarray:
-    """exp(-kernel_width * ||a_i - b_j||^2) for all row pairs."""
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    np.multiply(sq, -kernel_width, out=sq)
-    return np.exp(sq, out=sq)
+    """exp(-kernel_width * ||a_i - b_j||^2) for all row pairs.
+
+    The distances are (||a_i||^2 + ||b_j||^2) - 2 a_i.b_j, rounded exactly
+    like that whole-array expression, but the Gram product is the only
+    (m, n) array: the norms and their sums are formed ``_KERNEL_BLOCK`` rows
+    at a time. A row of ``a`` or ``b`` whose squared norm is not finite has
+    kernel value 0 against every row, so a decision on it is the bias alone.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        na = _row_norms_sq(a)
+        nb = na if b is a else _row_norms_sq(b)
+        sq = a @ b.T
+        np.multiply(sq, 2.0, out=sq)
+        for s in range(0, len(a), _KERNEL_BLOCK):
+            blk = slice(s, s + _KERNEL_BLOCK)
+            np.subtract(na[blk, None] + nb[None, :], sq[blk], out=sq[blk])
+        np.maximum(sq, 0.0, out=sq)
+        np.multiply(sq, -kernel_width, out=sq)
+        np.exp(sq, out=sq)
+    sq[~np.isfinite(na)] = 0.0
+    sq[:, ~np.isfinite(nb)] = 0.0
+    return sq
 
 
 def _smo(K, y, C, tol, max_iter):

@@ -321,6 +321,8 @@ class TestInsRun:
         ("rate_hz = -1", "rate_hz must be positive and finite"),
         ("rate_hz = nan", "rate_hz must be positive and finite"),
         ("rate_hz = inf", "rate_hz must be positive and finite"),
+        ("init_att_std = 1e200", "init_att_std = 1e+200 is too large: its square overflows"),
+        ("sigma_accel = 1e200", "sigma_accel = 1e+200 is too large: its square overflows"),
     ])
     def test_config_value_error_names_the_file(self, workdir, tmp_path, setting, message):
         cfg = tmp_path / "cfg.txt"

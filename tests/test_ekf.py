@@ -47,6 +47,16 @@ def min_eigenvalue(P):
     return float(np.linalg.eigvalsh(P)[0])
 
 
+@pytest.mark.parametrize("field", ["sigma_accel", "sigma_gyro", "sigma_zupt",
+                                   "init_pos_std", "init_vel_std", "init_att_std"])
+def test_config_rejects_a_value_whose_square_overflows(field):
+    EkfConfig(**{field: 1e154})
+    for value in (1e155, math.inf):
+        with pytest.raises(ValueError) as info:
+            EkfConfig(**{field: value})
+        assert str(info.value) == f"{field} = {value:g} is too large: its square overflows"
+
+
 class TestPropagate:
     def test_gravity_cancellation_at_rest(self):
         p, v, _, _ = step(rest_state(), G_UP, [0, 0, 0], 0.008)
@@ -408,6 +418,18 @@ class TestRunIns:
                 run_ins(burst, truth.stance)
         assert str(info.value) == (f"the filter diverged: its state is not finite at "
                                    f"t = {stream.t[first]:.3f} s")
+
+    @pytest.mark.parametrize("field", ["sigma_accel", "sigma_gyro"])
+    def test_a_process_noise_square_that_overflows_is_a_diverging_filter(self, field):
+        # at 0.5 Hz, (1e154 * 2 s) ** 2 overflows while 1e154 ** 2 does not
+        n = 5
+        stream = ImuStream(2.0 * np.arange(n), np.tile(G_UP, (n, 1)), np.zeros((n, 3)),
+                           rate_hz=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                run_ins(stream, np.ones(n, bool), EkfConfig(**{field: 1e154}))
+        assert str(info.value) == "the filter diverged: its state is not finite at t = 2.000 s"
 
     def test_trajectory_accessors(self):
         stream, truth = simulate(gait_preset("walk", duration=2.0), NoiseModel(seed=6))

@@ -345,8 +345,6 @@ class TestParallelRunTrial:
         assert str(err.value) == f"{raised} pass failed"
         assert multiprocessing.active_children() == []
 
-    # the classifier warns on the burst's overflowing features
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_a_diverging_pass_raises_in_walk_run_adapt_order(self, trial, adaptive_setup):
         stream, truth, marker_map, triggers = trial
         accel = stream.accel.copy()

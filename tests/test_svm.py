@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 from itertools import combinations
 
@@ -105,7 +106,66 @@ class TestBuildWindows:
         assert np.max(np.abs(wa - wb)) < 1e-12
 
 
+def reference_kernel(a, b, kernel_width):
+    """The whole-array kernel expression that rbf_kernel must reproduce bit for bit."""
+    sq = (
+        np.sum(a * a, axis=1)[:, None]
+        + np.sum(b * b, axis=1)[None, :]
+        - 2.0 * (a @ b.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    np.multiply(sq, -kernel_width, out=sq)
+    return np.exp(sq, out=sq)
+
+
 class TestRbfKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([1, 255, 256, 257, 700]), n=st.integers(1, 300),
+           d=st.sampled_from([1, 6, 37, 750]), same=st.booleans(),
+           scale=st.sampled_from([1e-100, 1e-3, 1.0, 30.0, 1e100]),
+           kernel_width=st.floats(1e-4, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_whole_array_expression_bit_for_bit(self, m, n, d, same, scale,
+                                                            kernel_width, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(m, d)) * scale
+        b = a if same else rng.normal(size=(n, d)) * scale
+        got, expect = rbf_kernel(a, b, kernel_width), reference_kernel(a, b, kernel_width)
+        assert got.shape == expect.shape
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("same", [False, True])
+    @pytest.mark.parametrize("bad", [1e160, np.inf, -np.inf, np.nan])
+    def test_a_row_whose_norm_is_not_finite_has_kernel_zero(self, same, bad):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(300, 12)), rng.normal(size=(20, 12))
+        bad_a, bad_b = [3, 290], [0, 11]
+        a[bad_a, 5] = bad
+        b[bad_b, 2] = bad
+        if same:
+            b, bad_b = a, bad_a
+        got = rbf_kernel(a, b, 0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect = reference_kernel(a, b, 0.1)
+        expect[bad_a] = 0.0
+        expect[:, bad_b] = 0.0
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    # 2,048 K = 125 windows against 614 support vectors, and as a training
+    # kernel: beside the output, the (256, n) block of norm sums and the norms
+    # measured 1.34 and 4.14 MiB; the whole-array expression took 9.6 and 32 MiB
+    @pytest.mark.parametrize("n_b, bound_mib", [(614, 2.0), (None, 5.0)])
+    def test_the_output_is_the_only_full_size_array(self, n_b, bound_mib):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(2048, 750))
+        b = a if n_b is None else rng.normal(size=(n_b, 750))
+        tracemalloc.start()
+        try:
+            result = rbf_kernel(a, b, 1.0 / 750)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - result.nbytes < bound_mib * 2**20
+
     def test_matches_pairwise_definition(self):
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(7, 6)), rng.normal(size=(5, 6))
@@ -113,8 +173,7 @@ class TestRbfKernel:
         assert np.max(np.abs(rbf_kernel(a, b, 0.3) - expect)) < 1e-12
 
     def test_peak_memory_is_twice_the_result(self):
-        # a 1,100 x 1,100 training kernel of K = 125 windows: the distance
-        # matrix and one same-sized temporary, then exp in place
+        # a 1,100 x 1,100 training kernel of K = 125 windows
         x = np.random.default_rng(6).normal(size=(1100, 750))
         tracemalloc.start()
         try:
@@ -354,6 +413,26 @@ class TestClassifyStream:
         labels = classify_stream(binary_model, stream)
         assert np.mean(labels.smoothed == WALK) > 0.99
 
+    def test_burst_windows_get_the_bias_label_without_a_warning(self, binary_model,
+                                                               walk_calibration):
+        # 1e160 m/s^2 overflows the squared norm of every window holding it
+        stream, _ = walk_calibration
+        stream = stream[:1500]
+        accel = stream.accel.copy()
+        accel[500:503] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clean = classify_stream(binary_model, stream)
+            burst = classify_stream(binary_model, ImuStream(stream.t, accel, stream.gyro))
+        pair = binary_model.pairs[0]
+        bias_label = pair.class_a if pair.bias >= 0.0 else pair.class_b
+        k = binary_model.window_len
+        # the windows ending at samples 500 .. 502 + K - 1 hold a burst sample
+        hit = np.zeros(len(stream), dtype=bool)
+        hit[500:502 + k] = True
+        assert np.all(burst.raw[hit] == bias_label)
+        assert np.array_equal(burst.raw[~hit], clean.raw[~hit])
+
 
 @pytest.fixture(scope="module")
 def three_class_model(walk_calibration):
@@ -399,7 +478,7 @@ class TestChunkedClassification:
     def test_peak_memory_is_bounded_by_the_chunk(self, binary_model):
         # one 59 s mixed trial, 7,375 samples; classifying it as one batch
         # peaks near 150 MB (43.5 MB of windows plus the kernel rows of
-        # ~600 support vectors), one chunk of 2,048 windows near 33 MB
+        # ~600 support vectors), one chunk of 2,048 windows at 23.6 MB
         stream, _ = simulate(mixed_segments(), NoiseModel(seed=43))
         tracemalloc.start()
         try:
