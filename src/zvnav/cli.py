@@ -18,11 +18,13 @@ import click
 import numpy as np
 
 from . import io as zio
-from .core import ImuStream, read_json_object, write_json
-from .detector import AdaptiveParams, DetectorParams, detect, detect_adaptive
+from .core import DEFAULT_RATE_HZ, ImuStream, read_json_object, write_json
+from .detector import AdaptiveParams, DetectorParams, detect
 from .ekf import EkfConfig, run_ins
-from .evaluate import check_triggers, marker_layout_from_truth, run_trial
+from .evaluate import (DEFAULT_MARKER_EVERY, adaptive_zupts, check_triggers,
+                       marker_layout_from_truth, run_trial)
 from .optimize import (
+    GAMMA_GRID_POINTS,
     FBetaConfig,
     MocapStream,
     OptimizationFailedError,
@@ -33,13 +35,13 @@ from .optimize import (
     default_gamma_grid,
     optimize_gamma,
 )
-from .simulate import CLASS_IDS, CLASS_NAMES, NoiseModel, gait_preset, simulate
-from .survey import build_map, frame_to_frame, tag_template
+from .simulate import CLASS_IDS, CLASS_NAMES, DEFAULT_DURATION, NoiseModel, gait_preset, simulate
+from .survey import DEFAULT_TAG_SIDE, build_map, frame_to_frame, tag_template
 from .svm import (
+    DEFAULT_WINDOW_LEN,
     NormStats,
     TrainingFailedError,
     build_windows,
-    classify_motion,
     classify_stream,
     load_model,
     predict_batch,
@@ -128,7 +130,7 @@ def zv_detect(imu, gamma, window, sigma_a, sigma_w, gravity, config, out):
 @click.option("--beta2", type=float, default=None, help="F-score beta^2 weight.")
 @click.option("--speed-threshold", type=float, default=None,
               help="Ground-truth labeling speed threshold, m/s.")
-@click.option("--grid-points", type=int, default=300)
+@click.option("--grid-points", type=int, default=GAMMA_GRID_POINTS)
 @click.option("--window", type=int, default=None)
 @click.option("--sigma-a", type=float, default=None)
 @click.option("--sigma-w", type=float, default=None)
@@ -182,7 +184,7 @@ def classify():
               help="Comma-separated class ids to train on, e.g. '0,2'.")
 @click.option("--trim", type=click.IntRange(min=0), default=1000, show_default=True,
               help="Samples dropped from each end of every trial.")
-@click.option("--window-len", type=int, default=125, show_default=True)
+@click.option("--window-len", type=int, default=DEFAULT_WINDOW_LEN, show_default=True)
 @click.option("--stride", type=int, default=15, show_default=True)
 @click.option("--kernel-width", type=float, default=None,
               help="RBF width; defaults to 1/(6*window-len).")
@@ -235,15 +237,13 @@ def classify_train(trials, out, classes, trim, window_len, stride, kernel_width,
 @classify.command("predict")
 @click.option("--imu", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--smooth", "smooth_window", type=int, default=15, show_default=True)
-@click.option("--smooth-threshold", type=float, default=0.2, show_default=True)
 @click.option("--out", required=True, type=click.Path())
-def classify_predict(imu, model_path, smooth_window, smooth_threshold, out):
+def classify_predict(imu, model_path, out):
     """Per-sample motion labels; writes a t,y_raw,y_smooth CSV."""
     model = load_model(model_path)
     stream = zio.read_imu_csv(imu)
-    labels = classify_stream(model, stream, smooth_window, smooth_threshold)
-    zio.write_predict_csv(out, labels.t, labels.raw, labels.smoothed)
+    labels = classify_stream(model, stream)
+    zio.write_predict_csv(out, stream.t, labels.raw, labels.smoothed)
     click.echo(f"classified {len(stream)} samples with classes {list(model.classes)}")
 
 
@@ -269,14 +269,14 @@ def sim():
 
 @sim.command("gait")
 @click.option("--motion", default="walk", type=click.Choice(list(CLASS_NAMES)))
-@click.option("--duration", type=float, default=60.0, show_default=True)
+@click.option("--duration", type=float, default=DEFAULT_DURATION, show_default=True)
 @click.option("--segments", default=None,
               help="Piecewise trial, e.g. 'walk:20,run:20,walk:20:3.1416' "
                    "(name:duration[:heading_rad]); overrides --motion/--duration.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--rate", type=float, default=125.0, show_default=True)
-@click.option("--accel-noise", type=float, default=0.02, show_default=True)
-@click.option("--gyro-noise", type=float, default=0.002, show_default=True)
+@click.option("--rate", type=float, default=DEFAULT_RATE_HZ, show_default=True)
+@click.option("--accel-noise", type=float, default=NoiseModel.accel_noise_std, show_default=True)
+@click.option("--gyro-noise", type=float, default=NoiseModel.gyro_noise_std, show_default=True)
 @click.option("--out", required=True, type=click.Path(), help="IMU CSV output.")
 @click.option("--truth", "truth_out", required=True, type=click.Path(),
               help="Truth CSV output (t,x,y,z,vx,vy,vz,stance,class).")
@@ -286,7 +286,7 @@ def sim():
               help="Write a synthetic surveyed marker map JSON.")
 @click.option("--triggers-out", type=click.Path(), default=None,
               help="Write synthetic trigger timestamps (t,marker_id CSV).")
-@click.option("--marker-every", type=int, default=10, show_default=True,
+@click.option("--marker-every", type=int, default=DEFAULT_MARKER_EVERY, show_default=True,
               help="Strides between synthetic markers.")
 def sim_gait(motion, duration, segments, seed, rate, accel_noise, gyro_noise,
              out, truth_out, mocap_out, markers_out, triggers_out, marker_every):
@@ -323,7 +323,7 @@ def survey():
               help="Survey JSON: stations each observing two adjacent markers. "
                    "A repeated marker pair feeds the reverse chain for loop closure.")
 @click.option("--out", required=True, type=click.Path())
-@click.option("--side", type=float, default=0.28, show_default=True,
+@click.option("--side", type=float, default=DEFAULT_TAG_SIDE, show_default=True,
               help="Tag side length for the template, m.")
 def survey_map(observations, out, side):
     """Compound surveyed frame pairs into one marker map."""
@@ -372,21 +372,17 @@ def ins():
 @click.option("--model", "model_path", type=click.Path(exists=True), default=None)
 @click.option("--gamma-walk", type=float, default=None)
 @click.option("--gamma-run", type=float, default=None)
-@click.option("--smooth", "smooth_window", type=int, default=15, show_default=True)
 @click.option("--config", type=click.Path(exists=True), default=None)
 @click.option("--out", required=True, type=click.Path())
-def ins_run(imu, gamma, adaptive, model_path, gamma_walk, gamma_run,
-            smooth_window, config, out):
+def ins_run(imu, gamma, adaptive, model_path, gamma_walk, gamma_run, config, out):
     """Run the INS with a fixed or adaptive threshold; writes a trajectory CSV."""
     stream, detector, ekf_cfg, given = _configure(imu, config, gamma=gamma)
 
     if adaptive:
         if model_path is None or gamma_walk is None or gamma_run is None:
             raise click.UsageError("--adaptive needs --model, --gamma-walk and --gamma-run")
-        model = load_model(model_path)
-        _, binary = classify_motion(model, stream, smooth_window)
-        flags = detect_adaptive(stream, binary, detector,
-                                AdaptiveParams(gamma_walk, gamma_run))
+        _, flags = adaptive_zupts(stream, load_model(model_path), detector,
+                                  AdaptiveParams(gamma_walk, gamma_run))
     else:
         if "gamma" not in given:
             raise click.UsageError("give --gamma (or a config value), or use --adaptive")
@@ -418,7 +414,7 @@ def _read_gammas(path) -> AdaptiveParams:
             values[key] = float(data[key])
         except (TypeError, ValueError):
             values[key] = math.nan
-        if not values[key] > 0:
+        if not 0 < values[key] < math.inf:
             raise click.ClickException(f"{path}: '{key}' must be a positive number, "
                                        f"not {data[key]!r}")
     return AdaptiveParams(**values)

@@ -29,11 +29,19 @@ import numpy as np
 GRAVITY = 9.80665
 # largest accepted deviation of a timestamp step from the nominal period, per period
 JITTER_TOLERANCE = 0.1
+DEFAULT_RATE_HZ = 125.0
 
 
 def gravity_vector(magnitude: float = GRAVITY) -> np.ndarray:
     """Gravity acceleration vector in the z-up navigation frame."""
     return np.array([0.0, 0.0, -magnitude])
+
+
+def require_positive(obj, *names: str) -> None:
+    """Fail naming the first of ``obj``'s fields that is not a positive finite number."""
+    for name in names:
+        if not 0 < getattr(obj, name) < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
 
 
 def read_json_object(path, what: str, parse=dict):
@@ -282,7 +290,7 @@ class ImuStream:
     t: np.ndarray
     accel: np.ndarray
     gyro: np.ndarray
-    rate_hz: float = 125.0
+    rate_hz: float = DEFAULT_RATE_HZ
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=np.float64)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import GRAVITY, ImuStream
+from .core import GRAVITY, ImuStream, require_positive
 
 DEFAULT_WINDOW = 5
 DEFAULT_SIGMA_A = 0.01
@@ -48,12 +48,7 @@ class DetectorParams:
     def __post_init__(self):
         if self.W < 2:
             raise ValueError("W must be at least 2")
-        if self.sigma_a <= 0 or self.sigma_w <= 0:
-            raise ValueError("sigmas must be positive")
-        if self.g <= 0:
-            raise ValueError("g must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        require_positive(self, "sigma_a", "sigma_w", "g", "gamma")
 
 
 @dataclass(frozen=True)
@@ -64,8 +59,7 @@ class AdaptiveParams:
     gamma_run: float = DEFAULT_GAMMA_RUN
 
     def __post_init__(self):
-        if self.gamma_walk <= 0 or self.gamma_run <= 0:
-            raise ValueError("thresholds must be positive")
+        require_positive(self, "gamma_walk", "gamma_run")
         if self.gamma_walk >= self.gamma_run:
             warnings.warn(
                 "gamma_walk >= gamma_run; optimized walking thresholds are "

@@ -70,12 +70,15 @@ class EkfConfig:
         for name in ("sigma_accel", "sigma_gyro", "sigma_zupt",
                      "init_pos_std", "init_vel_std", "init_att_std"):
             value = getattr(self, name)
-            if value <= 0:
+            if not value > 0:
                 raise ValueError(f"{name} must be positive")
             # the filter squares each one, and a float ** that overflows raises
             if math.isinf(value * value):
                 raise ValueError(f"{name} = {value:g} is too large: its square overflows")
-        object.__setattr__(self, "g", np.asarray(self.g, dtype=np.float64))
+        g = np.asarray(self.g, dtype=np.float64)
+        if not np.all(np.isfinite(g)):
+            raise ValueError("g must be finite")
+        object.__setattr__(self, "g", g)
 
     def initial_covariance(self) -> np.ndarray:
         d = np.concatenate([

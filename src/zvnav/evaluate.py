@@ -9,12 +9,13 @@ the headline number is taken at the marker farthest from the origin along
 the surveyed chain, where symmetric step-length errors cannot cancel the way
 they do at loop closure.
 
-``run_trial`` compares the two fixed thresholds against the adaptive
-detector on one stream. Its three INS passes are independent and pure, so
-after classifying and detecting it forks one child process per fixed
-threshold and runs the adaptive pass itself meanwhile; the children inherit
-their inputs through ``fork`` and send back only their scores. The report is
-the one a serial loop would give, and is deterministic given inputs and seed.
+``adaptive_zupts`` is the paper's detector, its threshold switched by the
+classified motion. ``run_trial`` compares the two fixed thresholds against
+it on one stream. Its three INS passes are independent and pure, so after
+classifying and detecting it forks one child process per fixed threshold
+and runs the adaptive pass itself meanwhile; the children inherit their
+inputs through ``fork`` and send back only their scores. The report is the
+one a serial loop would give, and is deterministic given inputs and seed.
 ``fork`` makes this POSIX-only.
 """
 from __future__ import annotations
@@ -32,11 +33,12 @@ from .detector import AdaptiveParams, DetectorParams, detect, detect_adaptive
 from .ekf import EkfConfig, Trajectory, run_ins
 from .simulate import GaitTruth
 from .survey import MarkerMap
-from .svm import SvmModel, classify_motion
+from .svm import LabelStream, SvmModel, classify_stream
 
 METHOD_WALK = "gamma_walk"
 METHOD_RUN = "gamma_run"
 METHOD_ADAPT = "gamma_adapt"
+DEFAULT_MARKER_EVERY = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,6 +206,17 @@ def _received(child, conn, method: str) -> tuple:
                            f"{child.exitcode} before sending its scores") from None
 
 
+def adaptive_zupts(stream: ImuStream, model: SvmModel, detector: DetectorParams,
+                   gammas: AdaptiveParams) -> tuple[LabelStream, np.ndarray]:
+    """Motion labels, and stationary flags thresholded at ``gammas.gamma_run`` where
+    the binary model's smoothed label is its second (faster) class, else at ``gamma_walk``."""
+    if len(model.classes) != 2:
+        raise ValueError("adaptive thresholding needs a binary (two-class) model; "
+                         f"this one has {len(model.classes)} classes")
+    labels = classify_stream(model, stream)
+    return labels, detect_adaptive(stream, labels.smoothed == model.classes[1], detector, gammas)
+
+
 def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
               detector: DetectorParams, ekf_cfg: EkfConfig,
               triggers: TriggerLog, marker_map: MarkerMap,
@@ -226,12 +239,12 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
             raise ValueError(f"class_truth holds {class_truth.size} labels for "
                              f"{len(stream)} samples; it must hold one per sample")
     check_triggers(stream, triggers, marker_map)
-    labels, binary = classify_motion(model, stream)
+    labels, adaptive_flags = adaptive_zupts(stream, model, detector, gammas)
 
     zv_by_method = {
         METHOD_WALK: detect(stream, replace(detector, gamma=gammas.gamma_walk)),
         METHOD_RUN: detect(stream, replace(detector, gamma=gammas.gamma_run)),
-        METHOD_ADAPT: detect_adaptive(stream, binary, detector, gammas),
+        METHOD_ADAPT: adaptive_flags,
     }
 
     fork = multiprocessing.get_context("fork")
@@ -265,7 +278,8 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
     return TrialReport(furthest, per_marker, svm_accuracy, outcomes[METHOD_ADAPT][0][2])
 
 
-def marker_layout_from_truth(truth: GaitTruth, every: int = 10) -> tuple[MarkerMap, TriggerLog]:
+def marker_layout_from_truth(truth: GaitTruth, every: int = DEFAULT_MARKER_EVERY
+                             ) -> tuple[MarkerMap, TriggerLog]:
     """Synthetic survey for a simulated trial: markers on outbound anchors.
 
     Places a marker every ``every`` strides along the outbound leg (up to the

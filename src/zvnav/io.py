@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ImuStream, gravity_vector, read_json_object, write_json
+from .core import DEFAULT_RATE_HZ, ImuStream, gravity_vector, read_json_object, write_json
 from .detector import DetectorParams
 from .ekf import EkfConfig, Trajectory
 from .evaluate import TriggerLog
@@ -97,7 +97,7 @@ def read_imu_csv(path, rate_hz: float | None = None) -> ImuStream:
     if np.any(dts <= 0):
         raise ValueError(f"{path}: timestamps must be strictly increasing")
     if rate_hz is None:
-        rate_hz = 1.0 / float(np.median(dts)) if t.shape[0] >= 2 else 125.0
+        rate_hz = 1.0 / float(np.median(dts)) if t.shape[0] >= 2 else DEFAULT_RATE_HZ
     try:
         return ImuStream(t, accel, gyro, rate_hz)
     except ValueError as exc:

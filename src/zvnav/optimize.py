@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ImuStream
+from .core import ImuStream, require_positive
 from .detector import DetectorParams, per_sample_statistics
 
 # per-motion defaults for ground-truth labeling and the F-score weight
@@ -75,10 +75,7 @@ class FBetaConfig:
     gamma_grid: np.ndarray = field(default_factory=default_gamma_grid)
 
     def __post_init__(self):
-        if self.beta_sq <= 0:
-            raise ValueError("beta_sq must be positive")
-        if self.speed_threshold <= 0:
-            raise ValueError("speed_threshold must be positive")
+        require_positive(self, "beta_sq", "speed_threshold")
         grid = np.asarray(self.gamma_grid, dtype=np.float64)
         if grid.size < 1 or np.any(grid <= 0):
             raise ValueError("gamma grid must be non-empty and positive")

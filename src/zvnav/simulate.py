@@ -27,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ImuStream, gravity_vector
+from .core import DEFAULT_RATE_HZ, ImuStream, gravity_vector
 
 CLASS_NAMES = ("walk", "jog", "run", "sprint", "crouch", "ladder")
 CLASS_IDS = {name: i for i, name in enumerate(CLASS_NAMES)}
+DEFAULT_DURATION = 60.0
 
 # per-class kinematics: stride (m/step), cadence (steps/s), stance fraction,
 # apex (m), pitch amplitude (deg), climb (m/cycle), stance tremor
@@ -69,7 +70,7 @@ class GaitProfile:
     impact_gyro: float = 3.5
     impact_delay: float = 0.09
     resting_pitch: float = 0.0
-    duration: float = 60.0
+    duration: float = DEFAULT_DURATION
 
     def __post_init__(self):
         if self.motion_class not in CLASS_IDS:
@@ -102,7 +103,8 @@ class GaitProfile:
         return 2.0 * self.stride_length
 
 
-def gait_preset(motion: str, heading: float = 0.0, duration: float = 60.0) -> GaitProfile:
+def gait_preset(motion: str, heading: float = 0.0, duration: float = DEFAULT_DURATION
+                ) -> GaitProfile:
     """Profile with the built-in kinematics of a named motion class."""
     if motion not in _PRESETS:
         raise ValueError(f"unknown motion class {motion!r}")
@@ -183,7 +185,7 @@ def _lift(tau):
 
 
 def simulate(profile, noise: NoiseModel | None = None,
-             rate_hz: float = 125.0) -> tuple[ImuStream, GaitTruth]:
+             rate_hz: float = DEFAULT_RATE_HZ) -> tuple[ImuStream, GaitTruth]:
     """Generate an IMU stream and exact truth for a profile or segment list.
 
     The trial starts at rest at a stance midpoint. Measured specific force is

@@ -383,26 +383,24 @@ def confusion_matrix(pred, truth, classes=tuple(range(6))) -> tuple[np.ndarray, 
 class LabelStream:
     """Per-sample motion labels: raw SVM output and the smoothed sequence."""
 
-    t: np.ndarray
     raw: np.ndarray
     smoothed: np.ndarray | None
 
 
-def classify_stream(model: SvmModel, stream: ImuStream,
-                    smooth_window: int = DEFAULT_SMOOTH_WINDOW,
-                    smooth_threshold: float = DEFAULT_SMOOTH_THRESHOLD) -> LabelStream:
+def classify_stream(model: SvmModel, stream: ImuStream) -> LabelStream:
     """Per-sample labels for a stream, windows aligned to their last sample.
 
     Each sample from index K-1 on receives the label of the window ending at
     it (one decision per sample, imposing a one-window lag behind the true
     motion); earlier samples inherit the first decision. For binary models
-    the smoothed sequence is the mean-filtered labels; for more classes it
-    is None.
+    the smoothed sequence is the labels mean-filtered with
+    ``DEFAULT_SMOOTH_WINDOW`` and ``DEFAULT_SMOOTH_THRESHOLD``; for more
+    classes it is None.
 
     Windows are built and scored ``CHUNK_WINDOWS`` at a time, consecutive
     chunks sharing K-1 samples, so memory is bounded by one chunk of windows
     and its kernel rows, not by the stream length. The pipeline's inherent
-    latency is K-1 samples of window lag plus the ``smooth_window``-sample
+    latency is K-1 samples of window lag plus the ``DEFAULT_SMOOTH_WINDOW``-sample
     look-ahead of the smoother.
     """
     k = model.window_len
@@ -418,26 +416,9 @@ def classify_stream(model: SvmModel, stream: ImuStream,
 
     smoothed = None
     if len(model.classes) == 2:
-        binary = (raw == model.classes[1]).astype(np.int64)
-        sm = smooth(binary, smooth_window, smooth_threshold)
+        sm = smooth((raw == model.classes[1]).astype(np.int64))
         smoothed = np.asarray(model.classes, dtype=np.int64)[sm]
-    return LabelStream(stream.t.copy(), raw, smoothed)
-
-
-def classify_motion(model: SvmModel, stream: ImuStream,
-                    smooth_window: int = DEFAULT_SMOOTH_WINDOW
-                    ) -> tuple[LabelStream, np.ndarray]:
-    """Labels for a stream plus the per-sample walk/run switch for the detector.
-
-    The switch is 1 where the smoothed label is the binary model's second
-    class, treated as the faster motion, and 0 elsewhere. Models with more
-    than two classes have no smoothed labels and are rejected.
-    """
-    if len(model.classes) != 2:
-        raise ValueError("adaptive thresholding needs a binary (two-class) model; "
-                         f"this one has {len(model.classes)} classes")
-    labels = classify_stream(model, stream, smooth_window)
-    return labels, (labels.smoothed == model.classes[1]).astype(np.int64)
+    return LabelStream(raw, smoothed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ import zvnav
 from zvnav import io as zio
 from zvnav.cli import _Group, main
 from zvnav.core import ImuStream
-from zvnav.svm import save_model, train
+from zvnav.detector import AdaptiveParams, DetectorParams
+from zvnav.evaluate import adaptive_zupts
+from zvnav.svm import load_model, save_model, train
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -314,6 +316,17 @@ class TestInsRun:
                  "--out", str(out)])
         assert zio.read_trajectory_csv(out).pos.shape[0] == 6000
 
+    def test_adaptive_zupts_are_those_of_adaptive_zupts(self, workdir, tmp_path):
+        out = tmp_path / "traj.csv"
+        run_cli(["ins", "run", "--imu", str(workdir / "mixed.csv"), "--adaptive",
+                 "--model", str(workdir / "model.json"),
+                 "--gamma-walk", "340000", "--gamma-run", "6900000", "--out", str(out)])
+        labels, flags = adaptive_zupts(zio.read_imu_csv(workdir / "mixed.csv"),
+                                       load_model(workdir / "model.json"), DetectorParams(),
+                                       AdaptiveParams(340000.0, 6900000.0))
+        assert 0 < flags.sum() < flags.size
+        assert np.array_equal(zio.read_trajectory_csv(out).zupt, flags)
+
     @pytest.mark.parametrize("setting, message", [
         ("window = 1", "W must be at least 2"),
         ("sigma_zupt = -1", "sigma_zupt must be positive"),
@@ -323,6 +336,11 @@ class TestInsRun:
         ("rate_hz = inf", "rate_hz must be positive and finite"),
         ("init_att_std = 1e200", "init_att_std = 1e+200 is too large: its square overflows"),
         ("sigma_accel = 1e200", "sigma_accel = 1e+200 is too large: its square overflows"),
+        ("gamma = nan", "gamma must be positive and finite"),
+        ("gamma = inf", "gamma must be positive and finite"),
+        ("sigma_a = nan", "sigma_a must be positive and finite"),
+        ("gravity = nan", "g must be positive and finite"),
+        ("sigma_zupt = nan", "sigma_zupt must be positive"),
     ])
     def test_config_value_error_names_the_file(self, workdir, tmp_path, setting, message):
         cfg = tmp_path / "cfg.txt"

@@ -14,8 +14,9 @@ from zvnav.core import (
     quat_to_rotation,
     se3_compose,
 )
-from zvnav.ekf import propagate
-from zvnav.optimize import MocapStream
+from zvnav.detector import AdaptiveParams, DetectorParams
+from zvnav.ekf import EkfConfig, propagate
+from zvnav.optimize import FBetaConfig, MocapStream
 
 
 def rodrigues(phi):
@@ -232,3 +233,27 @@ class TestStreams:
     def test_label_stream_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             MocapStream(np.array([0.0, 0.0]), np.zeros((2, 3)))
+
+
+# the fields of each settings class that must hold a positive finite number
+POSITIVE_FIELDS = [(cls, name) for cls, names in (
+    (DetectorParams, ("sigma_a", "sigma_w", "g", "gamma")),
+    (AdaptiveParams, ("gamma_walk", "gamma_run")),
+    (FBetaConfig, ("beta_sq", "speed_threshold")),
+    (EkfConfig, ("sigma_accel", "sigma_gyro", "sigma_zupt",
+                 "init_pos_std", "init_vel_std", "init_att_std")),
+) for name in names]
+
+
+class TestSettings:
+    @given(field=st.sampled_from(POSITIVE_FIELDS),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(max_value=0.0))
+    def test_rejects_a_value_that_is_not_positive_and_finite(self, field, value):
+        cls, name = field
+        with pytest.raises(ValueError, match=f"^{name} "):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("g", [[0.0, 0.0, math.nan], [math.inf, 0.0, -9.8]])
+    def test_filter_rejects_gravity_that_is_not_finite(self, g):
+        with pytest.raises(ValueError, match="^g must be finite$"):
+            EkfConfig(g=np.array(g))

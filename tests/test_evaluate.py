@@ -10,10 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zvnav.core import ImuStream, Quaternion, quat_to_rotation
-from zvnav.detector import detect, detect_adaptive
+from zvnav.detector import detect
 from zvnav.evaluate import (
     TrialReport,
     TriggerLog,
+    adaptive_zupts,
     align_trajectory,
     furthest_point_error,
     marker_layout_from_truth,
@@ -22,7 +23,6 @@ from zvnav.evaluate import (
 )
 from zvnav.ekf import Trajectory, run_ins
 from zvnav.simulate import NoiseModel, simulate
-from zvnav.svm import classify_motion
 from zvnav.survey import MarkerMap
 
 from conftest import mixed_segments, out_and_back
@@ -189,16 +189,14 @@ class TestRunTrial:
     def test_switching_exactness_inside_trial(self, adaptive_setup):
         stream, truth = simulate(mixed_segments(), NoiseModel(seed=50))
         model = adaptive_setup["model"]
-        from zvnav.svm import classify_stream
-        labels = classify_stream(model, stream)
-        binary = (labels.smoothed == model.classes[1]).astype(int)
         gammas = adaptive_setup["gammas"]
         det = adaptive_setup["detector"]
-        adaptive = detect_adaptive(stream, binary, det, gammas)
-        from dataclasses import replace
+        labels, adaptive = adaptive_zupts(stream, model, det, gammas)
+        faster = labels.smoothed == model.classes[1]
+        assert faster.any() and not faster.all()
         fw = detect(stream, replace(det, gamma=gammas.gamma_walk))
         fr = detect(stream, replace(det, gamma=gammas.gamma_run))
-        assert np.array_equal(adaptive, np.where(binary == 1, fr, fw))
+        assert np.array_equal(adaptive, np.where(faster, fr, fw))
 
     def test_report_structure_and_determinism(self, adaptive_setup):
         stream, truth = simulate(mixed_segments(), NoiseModel(seed=51))
@@ -261,7 +259,7 @@ class TestRunTrial:
         def no_classify(*args, **kwargs):
             raise AssertionError("classified before the triggers were checked")
 
-        monkeypatch.setattr("zvnav.evaluate.classify_motion", no_classify)
+        monkeypatch.setattr("zvnav.evaluate.classify_stream", no_classify)
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_trial(stream, adaptive_setup["model"], adaptive_setup["gammas"],
                       adaptive_setup["detector"], adaptive_setup["ekf"],
@@ -295,11 +293,11 @@ class TestParallelRunTrial:
     def flags(trial, setup):
         stream = trial[0]
         det, gammas = setup["detector"], setup["gammas"]
-        labels, binary = classify_motion(setup["model"], stream)
+        labels, adaptive = adaptive_zupts(stream, setup["model"], det, gammas)
         flags = {
             "gamma_walk": detect(stream, replace(det, gamma=gammas.gamma_walk)),
             "gamma_run": detect(stream, replace(det, gamma=gammas.gamma_run)),
-            "gamma_adapt": detect_adaptive(stream, binary, det, gammas),
+            "gamma_adapt": adaptive,
         }
         return labels, flags
 
