@@ -3,11 +3,11 @@
 The six command groups (zv, classify, sim, survey, ins, eval) live under one
 ``zvnav`` entry point, e.g. ``zvnav zv detect ...`` or ``zvnav eval trial ...``.
 Shared EKF/detector defaults can come from a ``key = value`` config file
-(--config). ``io.CONFIG_TABLE`` maps each key to the field it sets and
-``_configure`` applies it; a flag named like a key overrides the config
-value. Bad input files, config files, models or option values, and a gamma
-sweep or SVM fit that finds no solution, end a command with a one-line error
-rather than a traceback.
+(--config). Its keys are the settings' field names, listed with their
+targets in ``io.CONFIG_TABLE``; ``_configure`` applies them, and a flag
+named like a key overrides the config value. Bad input files, config files,
+models or option values, and a gamma sweep or SVM fit that finds no
+solution, end a command with a one-line error rather than a traceback.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import io as zio
-from .core import DEFAULT_RATE_HZ, ImuStream, read_json_object, write_json
+from .core import DEFAULT_RATE_HZ, read_json_object, write_json
 from .detector import AdaptiveParams, DetectorParams, detect
 from .ekf import EkfConfig, run_ins
 from .evaluate import (DEFAULT_MARKER_EVERY, adaptive_zupts, check_triggers,
@@ -38,6 +38,7 @@ from .optimize import (
 from .simulate import CLASS_IDS, CLASS_NAMES, DEFAULT_DURATION, NoiseModel, gait_preset, simulate
 from .survey import DEFAULT_TAG_SIDE, build_map, frame_to_frame, tag_template
 from .svm import (
+    DEFAULT_C_REG,
     DEFAULT_WINDOW_LEN,
     NormStats,
     TrainingFailedError,
@@ -50,17 +51,16 @@ from .svm import (
 )
 
 
-def _settings(values: dict) -> tuple[DetectorParams, EkfConfig, dict]:
-    """The ``io.CONFIG_TABLE`` targets, set from the table keys in ``values``.
-
-    The ``ImuStream`` target comes back as ``read_imu_csv`` keyword arguments.
-    """
-    fields = {DetectorParams: {}, EkfConfig: {}, ImuStream: {}}
-    for key, target, name, cast in zio.CONFIG_TABLE:
+def _settings(values: dict) -> tuple[DetectorParams, EkfConfig]:
+    """The ``io.CONFIG_TABLE`` targets, each field set from the same-named key in ``values``."""
+    fields = {DetectorParams: {}, EkfConfig: {}}
+    for key, target, cast in zio.CONFIG_TABLE:
         if key in values:
-            fields[target][name] = cast(values[key])
-    return (DetectorParams(**fields[DetectorParams]), EkfConfig(**fields[EkfConfig]),
-            fields[ImuStream])
+            try:
+                fields[target][key] = cast(values[key])
+            except (ValueError, OverflowError) as exc:  # int() of NaN or infinity
+                raise ValueError(f"{key} = {values[key]:g}: {exc}") from None
+    return DetectorParams(**fields[DetectorParams]), EkfConfig(**fields[EkfConfig])
 
 
 def _configure(imu, config_path, **flags):
@@ -68,18 +68,16 @@ def _configure(imu, config_path, **flags):
 
     Settings are the defaults, then the config file's values, then the flags
     given; ``flags`` are the command's options named like config keys. The
-    config values are applied on their own first, the ``ImuStream`` ones to a
-    one-sample stream, so a value that a target rejects fails naming the file.
+    config values are applied on their own first, so a value that a setting
+    rejects fails naming the file.
     """
     cfg = zio.load_config(config_path) if config_path else {}
     try:
-        _, _, imu_opts = _settings(cfg)
-        ImuStream(np.zeros(1), np.zeros((1, 3)), np.zeros((1, 3)), **imu_opts)
-    except (ValueError, OverflowError) as exc:
+        _settings(cfg)
+    except ValueError as exc:
         raise ValueError(f"{config_path}: {exc}") from None
     given = {**cfg, **{key: v for key, v in flags.items() if v is not None}}
-    detector, ekf_cfg, imu_opts = _settings(given)
-    return zio.read_imu_csv(imu, **imu_opts), detector, ekf_cfg, given
+    return (zio.read_imu_csv(imu), *_settings(given), given)
 
 
 class _Group(click.Group):
@@ -188,7 +186,7 @@ def classify():
 @click.option("--stride", type=int, default=15, show_default=True)
 @click.option("--kernel-width", type=float, default=None,
               help="RBF width; defaults to 1/(6*window-len).")
-@click.option("--c-reg", type=float, default=1.0, show_default=True)
+@click.option("--c-reg", type=float, default=DEFAULT_C_REG, show_default=True)
 def classify_train(trials, out, classes, trim, window_len, stride, kernel_width, c_reg):
     """Train on the first half of each trial, evaluate on the second."""
     wanted = None if classes is None else {int(c) for c in classes.split(",")}
@@ -225,8 +223,7 @@ def classify_train(trials, out, classes, trim, window_len, stride, kernel_width,
 
     X_train, y_train = windows_of(train_streams)
     X_test, y_test = windows_of(test_streams)
-    model = train(X_train, y_train, kernel_width=kernel_width, c_reg=c_reg,
-                  norm_stats=norm, window_len=window_len)
+    model = train(X_train, y_train, kernel_width=kernel_width, c_reg=c_reg, norm_stats=norm)
     save_model(model, out)
 
     test_acc = float(np.mean(predict_batch(model, X_test) == y_test))
@@ -273,7 +270,7 @@ def sim():
 @click.option("--segments", default=None,
               help="Piecewise trial, e.g. 'walk:20,run:20,walk:20:3.1416' "
                    "(name:duration[:heading_rad]); overrides --motion/--duration.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=NoiseModel.seed, show_default=True)
 @click.option("--rate", type=float, default=DEFAULT_RATE_HZ, show_default=True)
 @click.option("--accel-noise", type=float, default=NoiseModel.accel_noise_std, show_default=True)
 @click.option("--gyro-noise", type=float, default=NoiseModel.gyro_noise_std, show_default=True)

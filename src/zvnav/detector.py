@@ -37,18 +37,21 @@ DEFAULT_GAMMA_RUN = 13.11e5
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Window size, tuning sigmas, gravity magnitude and threshold."""
+    """Window size W, tuning sigmas, gravity magnitude g and threshold gamma."""
 
-    W: int = DEFAULT_WINDOW
+    window: int = DEFAULT_WINDOW
     sigma_a: float = DEFAULT_SIGMA_A
     sigma_w: float = DEFAULT_SIGMA_W
-    g: float = GRAVITY
+    gravity: float = GRAVITY
     gamma: float = DEFAULT_GAMMA_WALK
 
     def __post_init__(self):
-        if self.W < 2:
-            raise ValueError("W must be at least 2")
-        require_positive(self, "sigma_a", "sigma_w", "g", "gamma")
+        if self.window < 2:
+            raise ValueError("window must be at least 2")
+        require_positive(self, "sigma_a", "sigma_w", "gravity", "gamma")
+        for name, value in (("sigma_a", self.sigma_a), ("sigma_w", self.sigma_w)):
+            if not 0.0 < value * value < np.inf:  # the statistic divides by the square
+                raise ValueError(f"{name} = {value:g} is out of range: its square is 0 or inf")
 
 
 @dataclass(frozen=True)
@@ -71,17 +74,16 @@ class AdaptiveParams:
 def _window_statistics(accel_w: np.ndarray, gyro_w: np.ndarray,
                        params: DetectorParams) -> np.ndarray:
     """Statistics for stacked windows, shape (m, W, 3) each."""
-    W = params.W
     # a window whose energy overflows gets inf or NaN, so it is never stationary
     with np.errstate(over="ignore", invalid="ignore"):
         mean_a = accel_w.mean(axis=1)                  # (m, 3)
         norm_mean = np.linalg.norm(mean_a, axis=1)     # (m,)
         safe = np.where(norm_mean > 0, norm_mean, 1.0)
         unit = mean_a / safe[:, None]
-        dev = accel_w - (params.g * unit)[:, None, :]
+        dev = accel_w - (params.gravity * unit)[:, None, :]
         acc_term = np.einsum("ijk,ijk->i", dev, dev)
         gyr_term = np.einsum("ijk,ijk->i", gyro_w, gyro_w)
-        stats = (acc_term / params.sigma_a**2 + gyr_term / params.sigma_w**2) / W
+        stats = (acc_term / params.sigma_a**2 + gyr_term / params.sigma_w**2) / params.window
     # zero mean specific force means free fall, never midstance
     stats[norm_mean == 0] = np.inf
     return stats
@@ -94,18 +96,18 @@ def shoe_statistic(window: ImuStream, params: DetectorParams) -> float:
     (the gravity direction is undefined there, and free fall is never
     midstance).
     """
-    if len(window) != params.W:
-        raise ValueError(f"window must hold exactly W={params.W} samples")
+    if len(window) != params.window:
+        raise ValueError(f"window must hold exactly {params.window} samples")
     return float(_window_statistics(window.accel[None], window.gyro[None], params)[0])
 
 
 def shoe_statistics(stream: ImuStream, params: DetectorParams) -> np.ndarray:
     """Statistic for every full window; length ``len(stream) - W + 1``."""
     n = len(stream)
-    if n < params.W:
-        raise ValueError(f"stream holds {n} samples, fewer than W={params.W}")
-    accel_w = sliding_window_view(stream.accel, params.W, axis=0).transpose(0, 2, 1)
-    gyro_w = sliding_window_view(stream.gyro, params.W, axis=0).transpose(0, 2, 1)
+    if n < params.window:
+        raise ValueError(f"stream holds {n} samples, fewer than window={params.window}")
+    accel_w = sliding_window_view(stream.accel, params.window, axis=0).transpose(0, 2, 1)
+    gyro_w = sliding_window_view(stream.gyro, params.window, axis=0).transpose(0, 2, 1)
     return _window_statistics(accel_w, gyro_w, params)
 
 

@@ -39,7 +39,6 @@ import numpy as np
 
 from .core import (
     ImuStream,
-    Quaternion,
     _quat_from_rotvec,
     _quat_mul,
     _quat_normalize,
@@ -61,7 +60,7 @@ class EkfConfig:
     sigma_accel: float = 0.01 * GRAVITY
     sigma_gyro: float = 0.00174
     sigma_zupt: float = 0.01
-    g: np.ndarray = field(default_factory=gravity_vector)
+    gravity: np.ndarray = field(default_factory=gravity_vector)
     init_pos_std: float = 1e-3
     init_vel_std: float = 1e-2
     init_att_std: float = 1e-2
@@ -75,10 +74,10 @@ class EkfConfig:
             # the filter squares each one, and a float ** that overflows raises
             if math.isinf(value * value):
                 raise ValueError(f"{name} = {value:g} is too large: its square overflows")
-        g = np.asarray(self.g, dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("g must be finite")
-        object.__setattr__(self, "g", g)
+        gravity = np.asarray(self.gravity, dtype=np.float64)
+        if not np.all(np.isfinite(gravity)):
+            raise ValueError("gravity must be finite")
+        object.__setattr__(self, "gravity", gravity)
 
     def initial_covariance(self) -> np.ndarray:
         d = np.concatenate([
@@ -176,7 +175,7 @@ def _ins_loop(t, accel, gyro, zv, q0, P0, g, sig_a, sig_g, sig_z):
     g = g.tolist()
     out = np.empty((n, 10))
     ws = Workspace()
-    p, v, q, P = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), tuple(q0.tolist()), P0
+    p, v, q, P = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), q0, P0
     k = 0
     # a diverging filter overflows: numpy stays silent, and the check below reports it
     with np.errstate(all="ignore"):
@@ -200,11 +199,12 @@ def _ins_loop(t, accel, gyro, zv, q0, P0, g, sig_a, sig_g, sig_z):
     return out[:, 0:3], out[:, 3:6], out[:, 6:10]
 
 
-def level_from_accel(mean_accel) -> Quaternion:
+def level_from_accel(mean_accel) -> tuple:
     """Roll/pitch attitude from a mean stationary specific-force reading.
 
     Returns the minimal (zero-yaw) rotation mapping the measured mean accel
-    direction onto +z, so that gravity is vertical in the navigation frame.
+    direction onto +z, so that gravity is vertical in the navigation frame,
+    as a (w, x, y, z) tuple of floats like the filter state.
     """
     a = np.asarray(mean_accel, dtype=np.float64)
     norm = np.linalg.norm(a)
@@ -217,10 +217,10 @@ def level_from_accel(mean_accel) -> Quaternion:
     c = float(u @ target)
     if s < 1e-12:
         if c > 0:
-            return Quaternion.identity()
-        return Quaternion.from_rotvec([math.pi, 0.0, 0.0])
+            return 1.0, 0.0, 0.0, 0.0
+        return _quat_from_rotvec((math.pi, 0.0, 0.0))
     angle = math.atan2(s, c)
-    return Quaternion.from_rotvec(axis / s * angle)
+    return _quat_from_rotvec((axis / s * angle).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +274,7 @@ def run_ins(stream: ImuStream, zv, cfg: EkfConfig | None = None) -> Trajectory:
     q0 = level_from_accel(mean_accel)
     pos, vel, quat = _ins_loop(
         stream.t, stream.accel, stream.gyro, zv,
-        q0.as_array(), cfg.initial_covariance(),
-        cfg.g, cfg.sigma_accel, cfg.sigma_gyro, cfg.sigma_zupt,
+        q0, cfg.initial_covariance(),
+        cfg.gravity, cfg.sigma_accel, cfg.sigma_gyro, cfg.sigma_zupt,
     )
     return Trajectory(stream.t.copy(), pos, vel, quat, zv.copy())

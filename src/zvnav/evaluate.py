@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ImuStream, Quaternion, _quat_mul
+from .core import ImuStream
 from .detector import AdaptiveParams, DetectorParams, detect, detect_adaptive
 from .ekf import EkfConfig, Trajectory, run_ins
 from .simulate import GaitTruth
@@ -96,8 +96,9 @@ def align_trajectory(traj: Trajectory, triggers: TriggerLog,
     """Register a trajectory to the map frame with a rigid 2-D transform.
 
     The yaw and translation are fixed by the first two trigger-time
-    trajectory positions against their surveyed markers; the whole
-    trajectory (positions, velocities, attitude yaw) is transformed.
+    trajectory positions against their surveyed markers. Only the positions
+    are transformed, as scoring reads nothing else; velocities and attitudes
+    pass through unchanged.
     """
     if len(triggers) < 2:
         raise ValueError("need at least two trigger events to align")
@@ -115,11 +116,7 @@ def align_trajectory(traj: Trajectory, triggers: TriggerLog,
 
     pos = traj.pos.copy()
     pos[:, :2] = traj.pos[:, :2] @ R2.T + t2
-    vel = traj.vel.copy()
-    vel[:, :2] = traj.vel[:, :2] @ R2.T
-    quat = np.column_stack(_quat_mul(Quaternion.from_rotvec([0.0, 0.0, yaw]).as_array(),
-                                     traj.quat.T))
-    return Trajectory(traj.t.copy(), pos, vel, quat, traj.zupt.copy())
+    return replace(traj, pos=pos)
 
 
 def _farthest_marker(marker_map: MarkerMap) -> int:

@@ -7,7 +7,9 @@ order: 1-d for width 1, else (n, width). Floats are written with ``repr``
 (shortest round-trip form) and integer or bool columns as ints, so equal
 inputs give byte-identical files and a read returns the written values.
 
-Config keys are the rows of ``CONFIG_TABLE``: (key, target, field, cast).
+An IMU log states its own rate: the reader takes the nominal rate as
+1 / (median timestamp step). Config keys are the rows of ``CONFIG_TABLE``:
+(key, target, cast), each key the name of the target's field it sets.
 """
 from __future__ import annotations
 
@@ -89,15 +91,14 @@ def write_imu_csv(path, stream: ImuStream) -> None:
     _write_csv(path, "imu", stream.t, stream.accel, stream.gyro)
 
 
-def read_imu_csv(path, rate_hz: float | None = None) -> ImuStream:
+def read_imu_csv(path) -> ImuStream:
     t, accel, gyro = _read_csv(path, "imu")
     if t.shape[0] < 1:
         raise ValueError(f"{path}: empty IMU log")
     dts = np.diff(t)
     if np.any(dts <= 0):
         raise ValueError(f"{path}: timestamps must be strictly increasing")
-    if rate_hz is None:
-        rate_hz = 1.0 / float(np.median(dts)) if t.shape[0] >= 2 else DEFAULT_RATE_HZ
+    rate_hz = 1.0 / float(np.median(dts)) if t.shape[0] >= 2 else DEFAULT_RATE_HZ
     try:
         return ImuStream(t, accel, gyro, rate_hz)
     except ValueError as exc:
@@ -209,23 +210,22 @@ def write_survey_json(path, stations) -> None:
 # --- key-value config ---------------------------------------------------------
 
 
-# One row per place a config key lands: (key, target, field, cast). ``gravity``
-# lands twice, as the detector's magnitude and as the filter's gravity vector;
-# ``rate_hz`` is the nominal rate the IMU reader gives the ``ImuStream``.
+# One row per field a config key sets: (key, target, cast); the key is the
+# field's name. ``gravity`` sets two, the detector's magnitude and the
+# filter's gravity vector.
 CONFIG_TABLE = (
-    ("window", DetectorParams, "W", int),
-    ("sigma_a", DetectorParams, "sigma_a", float),
-    ("sigma_w", DetectorParams, "sigma_w", float),
-    ("gamma", DetectorParams, "gamma", float),
-    ("gravity", DetectorParams, "g", float),
-    ("gravity", EkfConfig, "g", gravity_vector),
-    ("sigma_accel", EkfConfig, "sigma_accel", float),
-    ("sigma_gyro", EkfConfig, "sigma_gyro", float),
-    ("sigma_zupt", EkfConfig, "sigma_zupt", float),
-    ("init_pos_std", EkfConfig, "init_pos_std", float),
-    ("init_vel_std", EkfConfig, "init_vel_std", float),
-    ("init_att_std", EkfConfig, "init_att_std", float),
-    ("rate_hz", ImuStream, "rate_hz", float),
+    ("window", DetectorParams, int),
+    ("sigma_a", DetectorParams, float),
+    ("sigma_w", DetectorParams, float),
+    ("gamma", DetectorParams, float),
+    ("gravity", DetectorParams, float),
+    ("gravity", EkfConfig, gravity_vector),
+    ("sigma_accel", EkfConfig, float),
+    ("sigma_gyro", EkfConfig, float),
+    ("sigma_zupt", EkfConfig, float),
+    ("init_pos_std", EkfConfig, float),
+    ("init_vel_std", EkfConfig, float),
+    ("init_att_std", EkfConfig, float),
 )
 CONFIG_KEYS = tuple(dict.fromkeys(key for key, *_ in CONFIG_TABLE))
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_RATE_HZ, ImuStream, gravity_vector
+from .core import DEFAULT_RATE_HZ, ImuStream, gravity_vector, require_positive
 
 CLASS_NAMES = ("walk", "jog", "run", "sprint", "crouch", "ladder")
 CLASS_IDS = {name: i for i, name in enumerate(CLASS_NAMES)}
@@ -77,10 +77,9 @@ class GaitProfile:
             raise ValueError(f"unknown motion class {self.motion_class!r}")
         if not 0.0 < self.stance_fraction < 1.0:
             raise ValueError("stance_fraction must lie strictly between 0 and 1")
-        if self.cadence <= 0:
-            raise ValueError("cadence must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        require_positive(self, "cadence", "duration")
+        if not math.isfinite(self.heading):
+            raise ValueError("heading must be finite")
 
     @property
     def class_id(self) -> int:
@@ -130,8 +129,9 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.accel_noise_std < 0 or self.gyro_noise_std < 0:
-            raise ValueError("noise standard deviations must be non-negative")
+        for name in ("accel_noise_std", "gyro_noise_std"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +160,8 @@ def piecewise_profile(segments) -> list[tuple[GaitProfile, float]]:
     out: list[tuple[GaitProfile, float]] = []
     for prof, dur in segments:
         dur = float(dur)
-        if dur <= 0:
-            raise ValueError("segment durations must be positive")
+        if not 0 < dur < math.inf:
+            raise ValueError("segment duration must be positive and finite")
         out.append((prof, dur))
     if not out:
         raise ValueError("need at least one segment")
@@ -194,6 +194,8 @@ def simulate(profile, noise: NoiseModel | None = None,
     attitude. Deterministic under a fixed seed.
     """
     noise = noise or NoiseModel()
+    if not 0 < rate_hz < math.inf:
+        raise ValueError("rate_hz must be positive and finite")
     if isinstance(profile, GaitProfile):
         segments = [(profile, profile.duration)]
     else:

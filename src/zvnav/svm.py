@@ -26,6 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import ImuStream, read_json_object, write_json
 
 DEFAULT_WINDOW_LEN = 125
+DEFAULT_C_REG = 1.0
 DEFAULT_SMOOTH_WINDOW = 15
 DEFAULT_SMOOTH_THRESHOLD = 0.2
 KKT_TOLERANCE = 1e-3
@@ -227,13 +228,13 @@ class SvmModel:
 
 
 def train(windows: np.ndarray, labels, kernel_width: float | None = None,
-          c_reg: float = 1.0, norm_stats: NormStats | None = None,
-          window_len: int | None = None) -> SvmModel:
+          c_reg: float = DEFAULT_C_REG, norm_stats: NormStats | None = None) -> SvmModel:
     """Train a one-vs-one RBF SVM on labeled feature windows.
 
-    ``kernel_width`` defaults to the inverse feature dimension. Each pair is
-    solved to KKT tolerance ``KKT_TOLERANCE``; the signed dual coefficients per pair
-    stay in [-C, C] and sum to zero. Training accuracy is stored on the model.
+    The window length is the feature dimension d over 6, and ``kernel_width``
+    defaults to 1/d. Each pair is solved to KKT tolerance ``KKT_TOLERANCE``;
+    the signed dual coefficients per pair stay in [-C, C] and sum to zero.
+    Training accuracy is stored on the model.
     """
     X = np.asarray(windows, dtype=np.float64)
     y_all = np.asarray(labels)
@@ -243,12 +244,8 @@ def train(windows: np.ndarray, labels, kernel_width: float | None = None,
     if len(classes) < 2:
         raise ValueError("training needs at least two classes")
     d = X.shape[1]
-    if window_len is None:
-        if d % 6 != 0:
-            raise ValueError("cannot infer window_len from a non-6K dimension")
-        window_len = d // 6
-    elif d != 6 * window_len:
-        raise ValueError("feature dimension must equal 6 * window_len")
+    if d % 6 != 0:
+        raise ValueError("cannot infer window_len from a non-6K dimension")
     if kernel_width is None:
         kernel_width = 1.0 / d
     if not 0 < kernel_width < np.inf:
@@ -286,7 +283,7 @@ def train(windows: np.ndarray, labels, kernel_width: float | None = None,
     model = SvmModel(
         classes=classes, pairs=tuple(pairs), kernel_width=float(kernel_width),
         c_reg=float(c_reg), norm_stats=norm_stats or NormStats.identity(),
-        window_len=int(window_len),
+        window_len=d // 6,
     )
     acc = float(np.mean(predict_batch(model, X) == y_all.astype(int)))
     object.__setattr__(model, "train_accuracy", acc)

@@ -101,7 +101,7 @@ def test_criterion_04_ekf_numerics_over_1e4_steps():
     worst_norm = 0.0
     for k in range(1, 10001):
         p, v, q, P = propagate(p, v, q, P, stream.accel[k - 1], stream.gyro[k - 1], stream.dt,
-                               cfg.g, cfg.sigma_accel, cfg.sigma_gyro)
+                               cfg.gravity, cfg.sigma_accel, cfg.sigma_gyro)
         if truth.stance[k - 1]:
             p, v, q, P = zupt_update(p, v, q, P, cfg.sigma_zupt)
         worst_sym = max(worst_sym, float(np.max(np.abs(P - P.T))))

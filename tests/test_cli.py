@@ -1,22 +1,31 @@
+import dataclasses
 import importlib
 import inspect
 import json
+import math
 import pkgutil
 import re
 import warnings
+from unittest import mock
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zvnav
+from zvnav import cli
 from zvnav import io as zio
 from zvnav.cli import _Group, main
 from zvnav.core import ImuStream
 from zvnav.detector import AdaptiveParams, DetectorParams
-from zvnav.evaluate import adaptive_zupts
-from zvnav.svm import load_model, save_model, train
+from zvnav.evaluate import adaptive_zupts, marker_layout_from_truth
+from zvnav.optimize import default_gamma_grid
+from zvnav.simulate import NoiseModel, gait_preset, simulate
+from zvnav.survey import tag_template
+from zvnav.svm import build_windows, load_model, save_model, train
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -96,6 +105,25 @@ class TestSimGait:
         rerun_identical(["sim", "gait", "--motion", "walk", "--duration", "5", "--seed", "3",
                          "--out", str(out), "--truth", str(truth)], [out, truth])
 
+    @pytest.mark.parametrize("args, message", [
+        (["--duration", "inf"], "duration must be positive and finite"),
+        (["--duration", "nan"], "duration must be positive and finite"),
+        (["--rate", "inf"], "rate_hz must be positive and finite"),
+        (["--rate", "nan"], "rate_hz must be positive and finite"),
+        (["--segments", "walk:inf"], "segment duration must be positive and finite"),
+        (["--segments", "walk:nan"], "segment duration must be positive and finite"),
+        (["--segments", "walk:10:inf"], "heading must be finite"),
+        (["--segments", "walk:10:nan"], "heading must be finite"),
+        (["--accel-noise", "nan"], "accel_noise_std must be non-negative and finite"),
+        (["--gyro-noise", "inf"], "gyro_noise_std must be non-negative and finite"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_a_non_finite_input_is_a_one_line_error(self, tmp_path, args, message):
+        out = tmp_path / "imu.csv"
+        line = cli_error(["sim", "gait", *args, "--out", str(out),
+                          "--truth", str(tmp_path / "truth.csv")])
+        assert line == f"Error: {message}"
+        assert not out.exists()
+
 
 class TestZv:
     def test_detect_writes_flags(self, workdir, tmp_path):
@@ -134,6 +162,19 @@ class TestZv:
                           "--config", str(cfg), "--out", str(tmp_path / "flags.csv")])
         assert str(cfg) in line and "line 2" in line and "'sigma_zup'" in line
         assert not (tmp_path / "flags.csv").exists()
+
+    def test_the_log_rate_is_not_a_config_key(self, workdir, tmp_path):
+        # an IMU log states its own rate: 1 / (median timestamp step)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("rate_hz = 125\n")
+        line = cli_error(["zv", "detect", "--imu", str(workdir / "walk.csv"),
+                          "--config", str(cfg), "--out", str(tmp_path / "flags.csv")])
+        assert line.startswith(f"Error: {cfg}, line 1: unknown config key 'rate_hz'")
+
+    def test_a_flag_error_names_the_flag(self, workdir, tmp_path):
+        line = cli_error(["zv", "detect", "--imu", str(workdir / "walk.csv"),
+                          "--window", "1", "--out", str(tmp_path / "flags.csv")])
+        assert line == "Error: window must be at least 2"
 
     def test_detect_reports_malformed_csv_line(self, workdir, tmp_path):
         imu = tmp_path / "imu.csv"
@@ -328,18 +369,15 @@ class TestInsRun:
         assert np.array_equal(zio.read_trajectory_csv(out).zupt, flags)
 
     @pytest.mark.parametrize("setting, message", [
-        ("window = 1", "W must be at least 2"),
+        ("window = 1", "window must be at least 2"),
         ("sigma_zupt = -1", "sigma_zupt must be positive"),
-        ("window = 1e400", "cannot convert float infinity to integer"),
-        ("rate_hz = -1", "rate_hz must be positive and finite"),
-        ("rate_hz = nan", "rate_hz must be positive and finite"),
-        ("rate_hz = inf", "rate_hz must be positive and finite"),
+        ("window = 1e400", "window = inf: cannot convert float infinity to integer"),
         ("init_att_std = 1e200", "init_att_std = 1e+200 is too large: its square overflows"),
         ("sigma_accel = 1e200", "sigma_accel = 1e+200 is too large: its square overflows"),
         ("gamma = nan", "gamma must be positive and finite"),
         ("gamma = inf", "gamma must be positive and finite"),
         ("sigma_a = nan", "sigma_a must be positive and finite"),
-        ("gravity = nan", "g must be positive and finite"),
+        ("gravity = nan", "gravity must be positive and finite"),
         ("sigma_zupt = nan", "sigma_zupt must be positive"),
     ])
     def test_config_value_error_names_the_file(self, workdir, tmp_path, setting, message):
@@ -452,6 +490,81 @@ class TestEvalTrial:
     def test_eval_deterministic(self, workdir, tmp_path):
         report = tmp_path / "report.json"
         rerun_identical(self.args(workdir, report), [report])
+
+
+# ``zv detect``'s options named like config keys
+DETECT_KEYS = {p.name for p in main.commands["zv"].commands["detect"].params} & set(zio.CONFIG_KEYS)
+
+
+def detect_settings(workdir, args):
+    """The (DetectorParams, EkfConfig) that ``zv detect`` ran with, or its one-line error."""
+    built, real = [], cli._settings
+
+    def recording(values):
+        built.append(real(values))
+        return built[-1]
+
+    with mock.patch.object(cli, "_settings", recording):
+        result = CliRunner().invoke(main, ["zv", "detect", "--imu", str(workdir / "walk.csv"),
+                                           "--out", str(workdir / "detect.csv"), *args])
+    if result.exit_code == 0:
+        return built[-1]
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    (line,) = result.output.strip().splitlines()
+    return line
+
+
+def fields_of(settings):
+    return [{f.name: np.asarray(getattr(obj, f.name)).tolist() for f in dataclasses.fields(obj)}
+            for obj in settings]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), row=st.sampled_from(zio.CONFIG_TABLE))
+def test_a_config_key_and_its_flag_set_the_field_of_that_name(workdir, data, row):
+    key, target, cast = row
+    # a window longer than the 2,500-sample log fails in the detector, not in the settings
+    value = data.draw(st.integers(-3, 40) | st.sampled_from([math.nan, math.inf, 2.5])
+                      if key == "window" else st.floats() | st.integers(-3, 40))
+    cfg = workdir / "hypothesis_cfg.txt"
+    cfg.write_text(f"{key} = {value!r}\n")
+    from_config = detect_settings(workdir, ["--config", str(cfg)])
+    # a window flag takes whole numbers only
+    has_flag = key in DETECT_KEYS and (key != "window" or float(value).is_integer())
+    from_flag = has_flag and detect_settings(workdir, [f"--{key.replace('_', '-')}",
+                                                       str(int(value) if key == "window"
+                                                           else value)])
+    if isinstance(from_config, str):
+        assert from_config.startswith(f"Error: {cfg}: ") and key in from_config
+        if has_flag:
+            assert from_flag == from_config.replace(f"{cfg}: ", "", 1)
+        return
+    detector, ekf_cfg = from_config
+    assert np.array_equal(getattr(detector if target is DetectorParams else ekf_cfg, key),
+                          cast(value))
+    if has_flag:
+        assert fields_of(from_flag) == fields_of(from_config)
+
+
+@pytest.mark.parametrize("command, option, library_default", [
+    ("classify train", "--c-reg", inspect.signature(train).parameters["c_reg"].default),
+    ("classify train", "--window-len",
+     inspect.signature(build_windows).parameters["window_len"].default),
+    ("sim gait", "--seed", NoiseModel().seed),
+    ("sim gait", "--accel-noise", NoiseModel().accel_noise_std),
+    ("sim gait", "--gyro-noise", NoiseModel().gyro_noise_std),
+    ("sim gait", "--duration", inspect.signature(gait_preset).parameters["duration"].default),
+    ("sim gait", "--rate", inspect.signature(simulate).parameters["rate_hz"].default),
+    ("sim gait", "--marker-every",
+     inspect.signature(marker_layout_from_truth).parameters["every"].default),
+    ("zv optimize", "--grid-points",
+     inspect.signature(default_gamma_grid).parameters["points"].default),
+    ("survey map", "--side", inspect.signature(tag_template).parameters["side"].default),
+])
+def test_a_cli_default_is_its_library_default(command, option, library_default):
+    group, name = command.split()
+    (param,) = [p for p in main.commands[group].commands[name].params if option in p.opts]
+    assert param.default == library_default
 
 
 def test_module_entry_point():

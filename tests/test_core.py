@@ -237,7 +237,7 @@ class TestStreams:
 
 # the fields of each settings class that must hold a positive finite number
 POSITIVE_FIELDS = [(cls, name) for cls, names in (
-    (DetectorParams, ("sigma_a", "sigma_w", "g", "gamma")),
+    (DetectorParams, ("sigma_a", "sigma_w", "gravity", "gamma")),
     (AdaptiveParams, ("gamma_walk", "gamma_run")),
     (FBetaConfig, ("beta_sq", "speed_threshold")),
     (EkfConfig, ("sigma_accel", "sigma_gyro", "sigma_zupt",
@@ -255,5 +255,5 @@ class TestSettings:
 
     @pytest.mark.parametrize("g", [[0.0, 0.0, math.nan], [math.inf, 0.0, -9.8]])
     def test_filter_rejects_gravity_that_is_not_finite(self, g):
-        with pytest.raises(ValueError, match="^g must be finite$"):
-            EkfConfig(g=np.array(g))
+        with pytest.raises(ValueError, match="^gravity must be finite$"):
+            EkfConfig(gravity=np.array(g))

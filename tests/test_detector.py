@@ -84,9 +84,18 @@ class TestShoeStatistic:
                                  DetectorParams(sigma_a=2 * DetectorParams().sigma_a))
         assert doubled == pytest.approx(base / 4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["sigma_a", "sigma_w"])
+    def test_rejects_a_sigma_whose_square_leaves_the_float_range(self, name):
+        DetectorParams(**{name: 1e154})
+        DetectorParams(**{name: 1e-160})
+        for value in (1e155, 1e-170):
+            with pytest.raises(ValueError) as info:
+                DetectorParams(**{name: value})
+            assert str(info.value) == f"{name} = {value:g} is out of range: its square is 0 or inf"
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            DetectorParams(W=1)
+            DetectorParams(window=1)
         with pytest.raises(ValueError):
             DetectorParams(sigma_a=0.0)
         with pytest.raises(ValueError):
@@ -170,7 +179,7 @@ class TestPerSampleStatistics:
         params = DetectorParams()
         stats = shoe_statistics(stream, params)
         for n in (0, 17, 100, len(stats) - 1):
-            direct = shoe_statistic(stream[n:n + params.W], params)
+            direct = shoe_statistic(stream[n:n + params.window], params)
             assert stats[n] == pytest.approx(direct, rel=1e-12, abs=1e-12)
         ps = per_sample_statistics(stream, params)
         assert ps.shape == (len(stream),)

@@ -32,7 +32,7 @@ def rest_state(cfg=EkfConfig()):
 
 def step(state, accel, gyro, dt, cfg=EkfConfig()):
     return propagate(*state, np.asarray(accel, float), np.asarray(gyro, float), dt,
-                     cfg.g, cfg.sigma_accel, cfg.sigma_gyro)
+                     cfg.gravity, cfg.sigma_accel, cfg.sigma_gyro)
 
 
 def zupt(state, cfg=EkfConfig()):
@@ -263,7 +263,7 @@ def step_sequences(draw):
 def test_kernels_match_the_reference_bit_for_bit(case):
     state, samples = case
     cfg = EkfConfig()
-    args = cfg.g, cfg.sigma_accel, cfg.sigma_gyro
+    args = cfg.gravity, cfg.sigma_accel, cfg.sigma_gyro
     reference = fresh = reused = state
     ws = Workspace()
     for accel, gyro, dt, with_zupt in samples:
@@ -298,13 +298,13 @@ def test_run_ins_is_the_step_kernels_stepped_by_hand(case):
     cfg = EkfConfig()
     traj = run_ins(stream, zv, cfg)
     # run_ins levels from the first stationary run, here sample 0 alone
-    q0 = level_from_accel(stream.accel[0]).as_array()
+    q0 = level_from_accel(stream.accel[0])
     p, v, q, P = np.zeros(3), np.zeros(3), q0, cfg.initial_covariance()
     rows = []
     for k in range(len(stream)):
         if k > 0:
             p, v, q, P = propagate(p, v, q, P, stream.accel[k], stream.gyro[k],
-                                   stream.t[k] - stream.t[k - 1], cfg.g,
+                                   stream.t[k] - stream.t[k - 1], cfg.gravity,
                                    cfg.sigma_accel, cfg.sigma_gyro)
         if zv[k]:
             p, v, q, P = zupt_update(p, v, q, P, cfg.sigma_zupt)
@@ -324,13 +324,14 @@ class TestLeveling:
             R_true = quat_to_rotation(Quaternion.from_rotvec(tilt))
             measured = R_true.T @ G_UP
             q0 = level_from_accel(measured)
-            assert np.allclose(quat_to_rotation(q0) @ measured, G_UP, atol=1e-9)
+            assert np.allclose(quat_to_rotation(Quaternion(*q0)) @ measured, G_UP, atol=1e-9)
 
     def test_degenerate_inputs(self):
         with pytest.raises(ValueError):
             level_from_accel([0.0, 0.0, 0.0])
         q = level_from_accel([0.0, 0.0, -9.81])
-        assert np.allclose(quat_to_rotation(q) @ [0, 0, -9.81], [0, 0, 9.81], atol=1e-9)
+        assert np.allclose(quat_to_rotation(Quaternion(*q)) @ [0, 0, -9.81], [0, 0, 9.81],
+                           atol=1e-9)
 
 
 class TestRunIns:

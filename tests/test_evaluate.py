@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zvnav.core import ImuStream, Quaternion, quat_to_rotation
+from zvnav.core import ImuStream
 from zvnav.detector import detect
 from zvnav.evaluate import (
     TrialReport,
@@ -72,26 +72,24 @@ class TestAlignTrajectory:
         assert np.max(np.abs(out.pos[:, :2] - traj.pos[:, :2])) < 1e-9
 
     @given(st.floats(-math.pi, math.pi), st.integers(0, 2**32 - 1))
-    def test_attitude_and_velocity_turn_by_the_yaw(self, yaw, seed):
+    def test_velocity_and_attitude_pass_through_unchanged(self, yaw, seed):
         # a straight walk heading -yaw against markers along x: the alignment
-        # yaw is ``yaw``, and every attitude and velocity turns by Rz(yaw)
+        # yaw is ``yaw``, the positions turn by Rz(yaw), and nothing else changes
         rng = np.random.default_rng(seed)
         n = 400
         t = np.arange(n) / 125.0
         heading = np.array([math.cos(-yaw), math.sin(-yaw), 0.0])
         quat = rng.normal(size=(n, 4))
         quat /= np.linalg.norm(quat, axis=1)[:, None]
-        vel = rng.normal(size=(n, 3))
-        traj = Trajectory(t, np.outer(t, heading), vel, quat, np.zeros(n, bool))
+        traj = Trajectory(t, np.outer(t, heading), rng.normal(size=(n, 3)), quat,
+                          rng.random(n) < 0.3)
         marker_map = straight_map(3, 1.0)
         out = align_trajectory(traj, self.triggers_for(marker_map), marker_map)
         c, s = math.cos(yaw), math.sin(yaw)
-        Rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        for k in range(0, n, 7):
-            R = quat_to_rotation(Quaternion.from_array(out.quat[k]))
-            expect = Rz @ quat_to_rotation(Quaternion.from_array(quat[k]))
-            assert np.max(np.abs(R - expect)) < 1e-12
-        assert np.max(np.abs(out.vel - vel @ Rz.T)) < 1e-12
+        Rz = np.array([[c, -s], [s, c]])
+        assert np.max(np.abs(out.pos[:, :2] - traj.pos[:, :2] @ Rz.T)) < 1e-12
+        for name in ("t", "vel", "quat", "zupt"):
+            assert np.array_equal(getattr(out, name), getattr(traj, name)), name
 
     def test_needs_two_triggers(self):
         traj = straight_trajectory()

@@ -257,7 +257,7 @@ class TestConfig:
         path = tmp_path / "cfg.txt"
         path.write_text("".join(f"{key} = 1\n" for key in zio.CONFIG_KEYS))
         assert zio.load_config(path) == dict.fromkeys(zio.CONFIG_KEYS, 1.0)
-        assert len(zio.CONFIG_KEYS) == 12
+        assert len(zio.CONFIG_KEYS) == 11
 
     def test_rejects_malformed_lines(self, tmp_path):
         path = tmp_path / "cfg.txt"

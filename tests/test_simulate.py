@@ -135,7 +135,7 @@ class TestMeasurementRealism:
         params = DetectorParams()
         stream, truth = simulate(gait_preset(name, duration=30.0), NoiseModel(seed=11))
         stats = shoe_statistics(stream, params)
-        w = params.W
+        w = params.window
         all_stance = np.array([truth.stance[i:i + w].all() for i in range(len(stats))])
         all_swing = np.array([(~truth.stance[i:i + w]).all() for i in range(len(stats))])
         assert stats[all_stance].max() * margin <= stats[all_swing].min()
