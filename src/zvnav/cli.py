@@ -168,6 +168,13 @@ def _class_of_filename(name: str) -> int | None:
     return None
 
 
+def _class_id(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--classes: {text.strip()!r} is not an integer class id") from None
+
+
 @main.group()
 def classify():
     """SVM motion classification."""
@@ -189,7 +196,7 @@ def classify():
 @click.option("--c-reg", type=float, default=DEFAULT_C_REG, show_default=True)
 def classify_train(trials, out, classes, trim, window_len, stride, kernel_width, c_reg):
     """Train on the first half of each trial, evaluate on the second."""
-    wanted = None if classes is None else {int(c) for c in classes.split(",")}
+    wanted = None if classes is None else {_class_id(c) for c in classes.split(",")}
     files = sorted(Path(trials).glob("*.csv"))
     per_class: dict[int, list] = {}
     for f in files:
@@ -402,19 +409,15 @@ def eval_group():
 
 def _read_gammas(path) -> AdaptiveParams:
     """The ``--gammas`` JSON; bad JSON or a missing or bad value fails naming the file."""
-    data = read_json_object(path, "a thresholds file")
-    values = {}
-    for key in ("gamma_walk", "gamma_run"):
-        if key not in data:
-            raise click.ClickException(f"{path}: missing key '{key}'")
-        try:
-            values[key] = float(data[key])
-        except (TypeError, ValueError):
-            values[key] = math.nan
-        if not 0 < values[key] < math.inf:
-            raise click.ClickException(f"{path}: '{key}' must be a positive number, "
-                                       f"not {data[key]!r}")
-    return AdaptiveParams(**values)
+    def parse(data):
+        values = {}
+        for key in ("gamma_walk", "gamma_run"):
+            try:
+                values[key] = float(data[key])
+            except (TypeError, ValueError):
+                values[key] = math.nan  # not a number: AdaptiveParams names the key
+        return AdaptiveParams(**values)
+    return read_json_object(path, "a thresholds file", parse)
 
 
 @eval_group.command("trial")

@@ -38,16 +38,18 @@ def gravity_vector(magnitude: float = GRAVITY) -> np.ndarray:
 
 
 def require_positive(obj, *names: str) -> None:
-    """Fail naming the first of ``obj``'s fields that is not a positive finite number."""
-    for name in names:
-        if not 0 < getattr(obj, name) < math.inf:
+    """Fail naming the first of ``obj``'s fields ``names``, or of a dict's entries,
+    that is not positive and finite; an array fails if any element does."""
+    values = obj.items() if isinstance(obj, dict) else ((n, getattr(obj, n)) for n in names)
+    for name, value in values:
+        if not np.all((0 < value) & (value < math.inf)):
             raise ValueError(f"{name} must be positive and finite")
 
 
 def read_json_object(path, what: str, parse=dict):
     """``parse`` of a JSON file's top-level object, which should be ``what``.
 
-    Bad JSON, a non-object or a missing key fails naming the file."""
+    Bad JSON, a non-object, a missing key or a rejected value fails naming the file."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -58,6 +60,8 @@ def read_json_object(path, what: str, parse=dict):
         return parse(data)
     except KeyError as exc:
         raise ValueError(f"{path}: not {what} (missing field '{exc.args[0]}')") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_json(path, data) -> None:
@@ -303,8 +307,7 @@ class ImuStream:
             raise ValueError("accel and gyro must have shape (n, 3)")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
             raise ValueError("stream values must be finite")
-        if not (np.isfinite(self.rate_hz) and self.rate_hz > 0):
-            raise ValueError("rate_hz must be positive and finite")
+        require_positive(self, "rate_hz")
         if n >= 2:
             dts = np.diff(t)
             if np.any(dts <= 0):

@@ -67,7 +67,7 @@ class AdaptiveParams:
             warnings.warn(
                 "gamma_walk >= gamma_run; optimized walking thresholds are "
                 "normally far below running thresholds",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
 
@@ -87,18 +87,6 @@ def _window_statistics(accel_w: np.ndarray, gyro_w: np.ndarray,
     # zero mean specific force means free fall, never midstance
     stats[norm_mean == 0] = np.inf
     return stats
-
-
-def shoe_statistic(window: ImuStream, params: DetectorParams) -> float:
-    """Statistic of one W-sample window.
-
-    Returns +inf for the degenerate window whose mean specific force is zero
-    (the gravity direction is undefined there, and free fall is never
-    midstance).
-    """
-    if len(window) != params.window:
-        raise ValueError(f"window must hold exactly {params.window} samples")
-    return float(_window_statistics(window.accel[None], window.gyro[None], params)[0])
 
 
 def shoe_statistics(stream: ImuStream, params: DetectorParams) -> np.ndarray:

@@ -44,6 +44,7 @@ from .core import (
     _quat_normalize,
     _rotmat_entries,
     gravity_vector,
+    require_positive,
     GRAVITY,
 )
 
@@ -68,9 +69,8 @@ class EkfConfig:
     def __post_init__(self):
         for name in ("sigma_accel", "sigma_gyro", "sigma_zupt",
                      "init_pos_std", "init_vel_std", "init_att_std"):
+            require_positive(self, name)
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive")
             # the filter squares each one, and a float ** that overflows raises
             if math.isinf(value * value):
                 raise ValueError(f"{name} = {value:g} is too large: its square overflows")

@@ -39,6 +39,8 @@ class OptimizationFailedError(RuntimeError):
 
 
 def default_gamma_grid(points: int = GAMMA_GRID_POINTS) -> np.ndarray:
+    if points < 1:
+        raise ValueError(f"grid points must be at least 1, not {points}")
     return np.logspace(np.log10(GAMMA_GRID_LO), np.log10(GAMMA_GRID_HI), points)
 
 
@@ -160,8 +162,7 @@ def f_beta(p, r, beta_sq: float):
     r = np.asarray(r, dtype=np.float64)
     if not (np.all((p >= 0.0) & (p <= 1.0)) and np.all((r >= 0.0) & (r <= 1.0))):
         raise ValueError("precision and recall must lie in [0, 1]")
-    if beta_sq <= 0:
-        raise ValueError("beta_sq must be positive")
+    require_positive({"beta_sq": beta_sq})
     denom = beta_sq * p + r
     fb = np.where(denom > 0, (1.0 + beta_sq) * p * r / np.where(denom > 0, denom, 1.0), 0.0)
     return float(fb) if fb.ndim == 0 else fb

@@ -160,8 +160,7 @@ def piecewise_profile(segments) -> list[tuple[GaitProfile, float]]:
     out: list[tuple[GaitProfile, float]] = []
     for prof, dur in segments:
         dur = float(dur)
-        if not 0 < dur < math.inf:
-            raise ValueError("segment duration must be positive and finite")
+        require_positive({"segment duration": dur})
         out.append((prof, dur))
     if not out:
         raise ValueError("need at least one segment")
@@ -194,8 +193,7 @@ def simulate(profile, noise: NoiseModel | None = None,
     attitude. Deterministic under a fixed seed.
     """
     noise = noise or NoiseModel()
-    if not 0 < rate_hz < math.inf:
-        raise ValueError("rate_hz must be positive and finite")
+    require_positive({"rate_hz": rate_hz})
     if isinstance(profile, GaitProfile):
         segments = [(profile, profile.duration)]
     else:

@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ImuStream, read_json_object, write_json
+from .core import ImuStream, read_json_object, require_positive, write_json
 
 DEFAULT_WINDOW_LEN = 125
 DEFAULT_C_REG = 1.0
@@ -50,8 +50,9 @@ class NormStats:
         s = np.asarray(self.std, dtype=np.float64)
         if m.shape != (6,) or s.shape != (6,):
             raise ValueError("norm stats must hold 6 channel values")
-        if np.any(s <= 0):
-            raise ValueError("channel standard deviations must be positive")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("channel means must be finite")
+        require_positive({"channel standard deviations": s})
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "std", s)
 
@@ -222,6 +223,23 @@ class SvmModel:
     window_len: int
     train_accuracy: float | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        """Reject a model that ``train`` cannot produce, such as a damaged model file."""
+        require_positive(self, "kernel_width", "c_reg")
+        for p in self.pairs:
+            pair = f"pair {p.class_a}/{p.class_b}"
+            if p.class_a not in self.classes or p.class_b not in self.classes:
+                raise ValueError(f"{pair}: class not in classes {list(self.classes)}")
+            sv = p.support_vectors
+            if sv.ndim != 2 or sv.shape[1] != self.dim:
+                raise ValueError(f"{pair}: support vectors must have 6*K = {self.dim} columns")
+            if p.alphas.shape != (sv.shape[0],):
+                raise ValueError(f"{pair}: {p.alphas.size} alphas for "
+                                 f"{sv.shape[0]} support vectors")
+            if not (np.all(np.isfinite(sv)) and np.all(np.isfinite(p.alphas))
+                    and np.isfinite(p.bias)):
+                raise ValueError(f"{pair}: support vectors, alphas and bias must be finite")
+
     @property
     def dim(self) -> int:
         return 6 * self.window_len
@@ -248,10 +266,7 @@ def train(windows: np.ndarray, labels, kernel_width: float | None = None,
         raise ValueError("cannot infer window_len from a non-6K dimension")
     if kernel_width is None:
         kernel_width = 1.0 / d
-    if not 0 < kernel_width < np.inf:
-        raise ValueError("kernel_width must be positive and finite")
-    if not c_reg > 0:
-        raise ValueError("c_reg must be positive")
+    require_positive({"kernel_width": kernel_width, "c_reg": c_reg})
     max_iter = max(200 * X.shape[0], 100_000)
 
     pairs = []

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from zvnav.detector import AdaptiveParams, DetectorParams
 from zvnav.ekf import EkfConfig
 from zvnav.optimize import FBetaConfig, MocapStream, RUN_BETA_SQ, RUN_SPEED_THRESHOLD, optimize_gamma
 from zvnav.simulate import CLASS_IDS, CLASS_NAMES, NoiseModel, gait_preset, simulate
-from zvnav.svm import NormStats, build_windows, train
+from zvnav.svm import NormStats, build_windows, model_to_dict, train
 
 WALK = CLASS_IDS["walk"]
 RUN = CLASS_IDS["run"]
@@ -30,6 +31,15 @@ def mixed_segments():
         (gait_preset("walk", heading=math.pi), 15.0),
         (gait_preset("run", heading=math.pi), 14.0),
     ]
+
+
+@functools.cache
+def small_model_dict():
+    """The file contents of a K=1 model of classes 0 and 2, trained on eight points.
+
+    Shared between calls: change a deep copy."""
+    X = np.random.default_rng(0).normal(size=(8, 6))
+    return model_to_dict(train(X, np.repeat([0, 2], 4)))
 
 
 def mocap_of(truth, rate_hz=125.0):

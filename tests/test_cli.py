@@ -216,6 +216,12 @@ class TestZv:
                           "--grid-points", "1"])
         assert line == "Error: F-beta is zero across the whole grid"
 
+    def test_optimize_rejects_a_grid_without_points(self, workdir):
+        line = cli_error(["zv", "optimize", "--imu", str(workdir / "walk.csv"),
+                          "--mocap", str(workdir / "walk_mocap.csv"), "--motion", "walk",
+                          "--grid-points", "-3"])
+        assert line == "Error: grid points must be at least 1, not -3"
+
     def test_optimize_deterministic(self, workdir, tmp_path):
         curve = tmp_path / "curve.csv"
         rerun_identical(["zv", "optimize", "--imu", str(workdir / "walk.csv"),
@@ -239,7 +245,9 @@ class TestClassify:
         ("--window-len", "0", "window_len must be at least 1"),
         ("--kernel-width", "0", "kernel_width must be positive and finite"),
         ("--kernel-width", "-1", "kernel_width must be positive and finite"),
-    ], ids=["window-len-0", "kernel-width-0", "kernel-width-negative"])
+        ("--c-reg", "inf", "c_reg must be positive and finite"),
+        ("--classes", "0,a", "--classes: 'a' is not an integer class id"),
+    ], ids=["window-len-0", "kernel-width-0", "kernel-width-negative", "c-reg-inf", "classes-a"])
     def test_train_rejects_flag_out_of_range(self, workdir, tmp_path, flag, value, message):
         line = cli_error(["classify", "train", "--trials", str(workdir / "trials"),
                           "--out", str(tmp_path / "model.json"), "--trim", "100",
@@ -272,6 +280,39 @@ class TestClassify:
         out = tmp_path / "labels.csv"
         rerun_identical(["classify", "predict", "--imu", str(workdir / "run.csv"),
                          "--model", str(workdir / "model.json"), "--out", str(out)], [out])
+
+
+# damaged copies of a trained model file, and the error each gives
+MODEL_DAMAGE = {
+    "kernel-width-negative": ({"kernel_width": -1.0}, "kernel_width must be positive and finite"),
+    "kernel-width-nan": ({"kernel_width": math.nan}, "kernel_width must be positive and finite"),
+    "c-reg-inf": ({"c_reg": math.inf}, "c_reg must be positive and finite"),
+    "norm-std-nan": ({"norm_std": [1.0, 1.0, math.nan, 1.0, 1.0, 1.0]},
+                     "channel standard deviations must be positive and finite"),
+    "bias-nan": ({"bias": math.nan}, "pair 0/2: support vectors, alphas and bias must be finite"),
+}
+
+
+@pytest.mark.parametrize("command", ["classify predict", "ins run", "eval trial"])
+@pytest.mark.parametrize("damage", list(MODEL_DAMAGE))
+def test_a_damaged_model_file_is_a_one_line_error_naming_it(workdir, tmp_path, command, damage):
+    fields, message = MODEL_DAMAGE[damage]
+    data = json.loads((workdir / "model.json").read_text())
+    target = data["pairs"][0] if "bias" in fields else data
+    target.update(fields)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data))
+    imu, out = str(workdir / "mixed.csv"), str(tmp_path / "out")
+    args = {
+        "classify predict": ["classify", "predict", "--imu", imu, "--out", out],
+        "ins run": ["ins", "run", "--imu", imu, "--adaptive", "--gamma-walk", "340000",
+                    "--gamma-run", "6900000", "--out", out],
+        "eval trial": ["eval", "trial", "--imu", imu, "--gammas", str(workdir / "gammas.json"),
+                       "--triggers", str(workdir / "triggers.csv"),
+                       "--markers", str(workdir / "markers.json"), "--report", out],
+    }[command]
+    assert cli_error(args + ["--model", str(model)]) == f"Error: {model}: {message}"
+    assert not (tmp_path / "out").exists()
 
 
 class TestSurvey:
@@ -370,7 +411,7 @@ class TestInsRun:
 
     @pytest.mark.parametrize("setting, message", [
         ("window = 1", "window must be at least 2"),
-        ("sigma_zupt = -1", "sigma_zupt must be positive"),
+        ("sigma_zupt = -1", "sigma_zupt must be positive and finite"),
         ("window = 1e400", "window = inf: cannot convert float infinity to integer"),
         ("init_att_std = 1e200", "init_att_std = 1e+200 is too large: its square overflows"),
         ("sigma_accel = 1e200", "sigma_accel = 1e+200 is too large: its square overflows"),
@@ -378,7 +419,7 @@ class TestInsRun:
         ("gamma = inf", "gamma must be positive and finite"),
         ("sigma_a = nan", "sigma_a must be positive and finite"),
         ("gravity = nan", "gravity must be positive and finite"),
-        ("sigma_zupt = nan", "sigma_zupt must be positive"),
+        ("sigma_zupt = nan", "sigma_zupt must be positive and finite"),
     ])
     def test_config_value_error_names_the_file(self, workdir, tmp_path, setting, message):
         cfg = tmp_path / "cfg.txt"
@@ -433,7 +474,7 @@ class TestEvalTrial:
         args = self.args(workdir, tmp_path / "report.json")
         args[args.index("--gammas") + 1] = str(gammas)
         line = cli_error(args)
-        assert line == f"Error: {gammas}: missing key 'gamma_run'"
+        assert line == f"Error: {gammas}: not a thresholds file (missing field 'gamma_run')"
         assert not (tmp_path / "report.json").exists()
 
     def test_gammas_value_not_a_number(self, workdir, tmp_path):
@@ -442,7 +483,7 @@ class TestEvalTrial:
         args = self.args(workdir, tmp_path / "report.json")
         args[args.index("--gammas") + 1] = str(gammas)
         line = cli_error(args)
-        assert line == f"Error: {gammas}: 'gamma_run' must be a positive number, not 'x'"
+        assert line == f"Error: {gammas}: gamma_run must be positive and finite"
 
     @pytest.mark.parametrize("text, message", [
         ('{"gamma_walk": 3.4e5,', "not valid JSON (Expecting property name"),

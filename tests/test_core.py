@@ -1,8 +1,13 @@
+import copy
+import dataclasses
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,7 +21,11 @@ from zvnav.core import (
 )
 from zvnav.detector import AdaptiveParams, DetectorParams
 from zvnav.ekf import EkfConfig, propagate
-from zvnav.optimize import FBetaConfig, MocapStream
+from zvnav.optimize import FBetaConfig, MocapStream, f_beta
+from zvnav.simulate import gait_preset, simulate
+from zvnav.svm import load_model, train
+
+from conftest import small_model_dict
 
 
 def rodrigues(phi):
@@ -235,23 +244,62 @@ class TestStreams:
             MocapStream(np.array([0.0, 0.0]), np.zeros((2, 3)))
 
 
-# the fields of each settings class that must hold a positive finite number
-POSITIVE_FIELDS = [(cls, name) for cls, names in (
+def load_model_with(key, value, index=None):
+    """Load a small model's file with ``key`` (its entry ``index``, if given) set to ``value``.
+
+    The load must fail naming the file; the error is raised again without the file name."""
+    data = copy.deepcopy(small_model_dict())
+    if index is None:
+        data[key] = value
+    else:
+        data[key][index] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: "), message
+    raise ValueError(message.removeprefix(f"{path}: "))
+
+
+_TWO_CLASSES = (np.random.default_rng(0).normal(size=(4, 6)), np.array([0, 0, 1, 1]))
+
+# every input that must be a positive finite number: (name, a call that passes it the value)
+POSITIVE_INPUTS = [(name, lambda v, cls=cls, name=name: cls(**{name: v})) for cls, names in (
     (DetectorParams, ("sigma_a", "sigma_w", "gravity", "gamma")),
     (AdaptiveParams, ("gamma_walk", "gamma_run")),
     (FBetaConfig, ("beta_sq", "speed_threshold")),
     (EkfConfig, ("sigma_accel", "sigma_gyro", "sigma_zupt",
                  "init_pos_std", "init_vel_std", "init_att_std")),
-) for name in names]
+) for name in names] + [
+    (name, lambda v, name=name: dataclasses.replace(gait_preset("walk"), **{name: v}))
+    for name in ("cadence", "duration")
+] + [
+    ("kernel_width", lambda v: train(*_TWO_CLASSES, kernel_width=v)),
+    ("c_reg", lambda v: train(*_TWO_CLASSES, c_reg=v)),
+    ("rate_hz", lambda v: simulate(gait_preset("walk", duration=1.0), rate_hz=v)),
+    ("segment duration", lambda v: simulate([(gait_preset("walk"), v)])),
+    ("rate_hz", lambda v: ImuStream(np.arange(3) / 125, np.zeros((3, 3)), np.zeros((3, 3)), v)),
+    ("beta_sq", lambda v: f_beta(0.5, 0.5, v)),
+    ("kernel_width", lambda v: load_model_with("kernel_width", v)),
+    ("c_reg", lambda v: load_model_with("c_reg", v)),
+    ("channel standard deviations", lambda v: load_model_with("norm_std", v, index=3)),
+]
 
 
 class TestSettings:
-    @given(field=st.sampled_from(POSITIVE_FIELDS),
-           value=st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(max_value=0.0))
-    def test_rejects_a_value_that_is_not_positive_and_finite(self, field, value):
-        cls, name = field
-        with pytest.raises(ValueError, match=f"^{name} "):
-            cls(**{name: value})
+    @given(value=st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(max_value=0.0))
+    @example(0.0)
+    @example(-1.0)
+    @example(math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    def test_rejects_a_value_that_is_not_positive_and_finite(self, value):
+        for name, call in POSITIVE_INPUTS:
+            with pytest.raises(ValueError) as info:
+                call(value)
+            assert str(info.value) == f"{name} must be positive and finite", name
 
     @pytest.mark.parametrize("g", [[0.0, 0.0, math.nan], [math.inf, 0.0, -9.8]])
     def test_filter_rejects_gravity_that_is_not_finite(self, g):

@@ -51,7 +51,7 @@ def min_eigenvalue(P):
                                    "init_pos_std", "init_vel_std", "init_att_std"])
 def test_config_rejects_a_value_whose_square_overflows(field):
     EkfConfig(**{field: 1e154})
-    for value in (1e155, math.inf):
+    for value in (1e155, 1e300):  # infinity fails as not finite, before this rule
         with pytest.raises(ValueError) as info:
             EkfConfig(**{field: value})
         assert str(info.value) == f"{field} = {value:g} is too large: its square overflows"

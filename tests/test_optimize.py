@@ -256,6 +256,10 @@ class TestOptimizeGamma:
         assert len(grid) == 300
         assert grid[0] == pytest.approx(1e2)
         assert grid[-1] == pytest.approx(1e8)
+        assert len(default_gamma_grid(1)) == 1
+        for points in (0, -3):
+            with pytest.raises(ValueError, match=f"^grid points must be at least 1, not {points}$"):
+                default_gamma_grid(points)
 
 
 class TestOptimizationFailure:

@@ -1,4 +1,7 @@
+import copy
 import json
+import math
+import re
 import tracemalloc
 import warnings
 
@@ -30,7 +33,7 @@ from zvnav.svm import (
     train,
 )
 
-from conftest import RUN, WALK, mixed_segments
+from conftest import RUN, WALK, mixed_segments, small_model_dict
 
 
 def lift(points):
@@ -221,10 +224,10 @@ class TestTrain:
         with pytest.raises(ValueError, match="kernel_width must be positive and finite"):
             train(X, np.array([0, 0, 1, 1]), kernel_width=kernel_width)
 
-    @pytest.mark.parametrize("c_reg", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("c_reg", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_c_reg_that_is_not_positive(self, c_reg):
         X = lift([[0, 0], [1, 1], [0, 1], [1, 0]])
-        with pytest.raises(ValueError, match="c_reg must be positive"):
+        with pytest.raises(ValueError, match="^c_reg must be positive and finite$"):
             train(X, np.array([0, 0, 1, 1]), c_reg=c_reg)
 
     def test_needs_two_classes(self):
@@ -506,6 +509,29 @@ class TestSerialization:
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match=r"markers\.json: not an SVM model"):
             load_model(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: d["norm_mean"].__setitem__(1, math.nan), "channel means must be finite"),
+        (lambda d: d["pairs"][0]["support_vectors"][2].__setitem__(4, math.inf),
+         "pair 0/2: support vectors, alphas and bias must be finite"),
+        (lambda d: d["pairs"][0]["alphas"].__setitem__(0, math.nan),
+         "pair 0/2: support vectors, alphas and bias must be finite"),
+        (lambda d: d["pairs"][0].update(bias=math.nan),
+         "pair 0/2: support vectors, alphas and bias must be finite"),
+        (lambda d: d["pairs"][0]["alphas"].pop(), r"pair 0/2: (\d+) alphas for (?!\1)\d+ support vectors"),
+        (lambda d: [row.pop() for row in d["pairs"][0]["support_vectors"]],
+         r"pair 0/2: support vectors must have 6\*K = 6 columns"),
+        (lambda d: d["pairs"][0].update(b=1), r"pair 0/1: class not in classes \[0, 2\]"),
+    ], ids=["norm-mean-nan", "support-vector-inf", "alpha-nan", "bias-nan", "alphas-short",
+            "support-vectors-narrow", "class-not-listed"])
+    def test_load_rejects_what_train_never_writes(self, tmp_path, damage, message):
+        data = copy.deepcopy(small_model_dict())
+        damage(data)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert re.fullmatch(re.escape(f"{path}: ") + message, str(info.value)), str(info.value)
 
     def test_schema_fields(self, binary_model):
         data = model_to_dict(binary_model)
