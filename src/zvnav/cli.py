@@ -206,11 +206,11 @@ def classify_train(trials, out, classes, trim, window_len, stride, kernel_width,
         stream = zio.read_imu_csv(f)
         if trim > 0:
             if len(stream) <= 2 * trim:
-                raise click.UsageError(f"{f.name}: too short for --trim {trim}")
+                raise ValueError(f"{f.name}: too short for --trim {trim}")
             stream = stream[trim:len(stream) - trim]
         per_class.setdefault(cls, []).append(stream)
     if len(per_class) < 2:
-        raise click.UsageError("need trials from at least two classes")
+        raise ValueError(f"{trials}: need trials from at least two classes")
 
     train_streams, test_streams = {}, {}
     for cls, streams in per_class.items():
@@ -337,10 +337,10 @@ def survey_map(observations, out, side):
     reverse: dict[tuple[int, int], object] = {}
     for obs in stations:
         if len(obs) != 2:
-            raise click.UsageError("each station must observe exactly two markers")
+            raise ValueError(f"{observations}: each station must observe exactly two markers")
         lo, hi = sorted(obs, key=lambda o: o.marker_id)
         if hi.marker_id != lo.marker_id + 1:
-            raise click.UsageError("stations must observe adjacent marker ids")
+            raise ValueError(f"{observations}: stations must observe adjacent marker ids")
         pair = (lo.marker_id, hi.marker_id)
         transform = frame_to_frame(lo, hi, template)
         if pair not in forward:
@@ -348,10 +348,11 @@ def survey_map(observations, out, side):
         elif pair not in reverse:
             reverse[pair] = transform
         else:
-            raise click.UsageError(f"marker pair {pair} surveyed more than twice")
+            raise ValueError(f"{observations}: marker pair {pair} surveyed more than twice")
     pairs = sorted(forward)
     if pairs != [(i, i + 1) for i in range(len(pairs))]:
-        raise click.UsageError("surveyed pairs must form a contiguous chain from marker 0")
+        raise ValueError(f"{observations}: surveyed pairs must form a contiguous "
+                         "chain from marker 0")
     fwd_chain = [forward[p] for p in pairs]
     rev_chain = [reverse[p] for p in pairs] if len(reverse) == len(forward) else None
     marker_map = build_map(fwd_chain, rev_chain)

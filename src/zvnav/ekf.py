@@ -28,6 +28,9 @@ arrays would have. Those stay BLAS products, because a hand-written sum
 rounds differently in the last bits. ``run_ins`` is pure, so independent
 passes can run in parallel: ``evaluate.run_trial`` runs its two
 fixed-threshold passes in forked child processes beside the adaptive one.
+It is also causal: on a prefix of the stream that holds its
+``leveling_samples``, it gives the whole stream's states bit for bit, which
+is how ``run_trial`` runs the fixed passes only as far as its triggers.
 """
 from __future__ import annotations
 
@@ -243,35 +246,45 @@ class Trajectory:
         return self.t.shape[0]
 
 
+def leveling_samples(t: np.ndarray, zv: np.ndarray) -> tuple[slice, bool]:
+    """The samples ``run_ins`` levels from, and whether they are flagged stationary.
+
+    They are the first contiguous stationary run that starts inside the
+    first second, followed past it for as long as the flags hold; without
+    one, the first 50 samples. A prefix of the stream that holds them levels
+    alike.
+    """
+    idx = np.flatnonzero(zv & (t <= t[0] + 1.0))
+    if idx.size == 0:
+        return slice(0, min(50, t.shape[0])), False
+    i0 = i1 = idx[0]
+    while i1 + 1 < t.shape[0] and zv[i1 + 1]:
+        i1 += 1
+    return slice(i0, i1 + 1), True
+
+
 def run_ins(stream: ImuStream, zv, cfg: EkfConfig | None = None) -> Trajectory:
     """Run the zero-velocity-aided INS over a stream.
 
     ``zv`` is one stationary flag per sample; the update is applied at every
-    flagged sample. Initial roll/pitch is leveled from the mean accel of the
-    first contiguous stationary run inside the first second (falling back,
-    with a warning, to the first 50 samples); initial yaw is zero. A state
-    that is not finite, from a diverging filter, raises ``ValueError``.
+    flagged sample. Initial roll/pitch is leveled from the mean accel of
+    ``leveling_samples`` (warning when they fall back to the first 50
+    samples); initial yaw is zero. A state that is not finite, from a
+    diverging filter, raises ``ValueError``.
     """
     cfg = cfg or EkfConfig()
     zv = np.asarray(zv, dtype=bool)
     if zv.shape != (len(stream),):
         raise ValueError("zv must hold one flag per stream sample")
 
-    first_second = stream.t <= stream.t[0] + 1.0
-    idx = np.flatnonzero(zv & first_second)
-    if idx.size > 0:
-        i0 = i1 = idx[0]
-        while i1 + 1 < len(stream) and zv[i1 + 1]:
-            i1 += 1
-        mean_accel = stream.accel[i0:i1 + 1].mean(axis=0)
-    else:
+    span, stationary = leveling_samples(stream.t, zv)
+    if not stationary:
         warnings.warn(
             "no stationary samples in the first second; leveling from the first 50 samples",
             stacklevel=2,
         )
-        mean_accel = stream.accel[:min(50, len(stream))].mean(axis=0)
 
-    q0 = level_from_accel(mean_accel)
+    q0 = level_from_accel(stream.accel[span].mean(axis=0))
     pos, vel, quat = _ins_loop(
         stream.t, stream.accel, stream.gyro, zv,
         q0, cfg.initial_covariance(),

@@ -14,9 +14,11 @@ classified motion. ``run_trial`` compares the two fixed thresholds against
 it on one stream. Its three INS passes are independent and pure, so after
 classifying and detecting it forks one child process per fixed threshold
 and runs the adaptive pass itself meanwhile; the children inherit their
-inputs through ``fork`` and send back only their scores. The report is the
-one a serial loop would give, and is deterministic given inputs and seed.
-``fork`` makes this POSIX-only.
+inputs through ``fork`` and send back only their scores. The adaptive pass
+covers the whole stream; a fixed pass, read only at the trigger times, stops
+at the first sample at or after the last one. The report is the one a serial
+loop over whole passes would give, and is deterministic given inputs and
+seed. ``fork`` makes this POSIX-only.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .core import ImuStream
 from .detector import AdaptiveParams, DetectorParams, detect, detect_adaptive
-from .ekf import EkfConfig, Trajectory, run_ins
+from .ekf import EkfConfig, Trajectory, leveling_samples, run_ins
 from .simulate import GaitTruth
 from .survey import MarkerMap
 from .svm import LabelStream, SvmModel, classify_stream
@@ -229,6 +231,13 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
     process runs the adaptive one; every child is joined before returning or
     raising. Each pass's warnings are issued again here, then its exception
     raised, in walk, run, adapt order.
+
+    The adaptive pass, which gives the path length, covers the whole stream.
+    A fixed pass covers the samples up to the first one at or after the last
+    trigger, and at least its ``ekf.leveling_samples``; its scores are those
+    of the whole pass. So a fixed pass that would diverge only after the last
+    trigger does not fail the trial: the adaptive pass's error is raised, if
+    it diverges there too.
     """
     if class_truth is not None:
         class_truth = np.asarray(class_truth)
@@ -244,13 +253,18 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
         METHOD_ADAPT: adaptive_flags,
     }
 
+    # np.interp reads a trigger from the samples either side of it, or from the
+    # sample on it, so nothing after the first sample at or after the last one
+    scored = int(np.searchsorted(stream.t, triggers.t[-1])) + 1
     fork = multiprocessing.get_context("fork")
     children = {}
     try:
         for method in (METHOD_WALK, METHOD_RUN):
+            zv = zv_by_method[method]
+            end = max(scored, leveling_samples(stream.t, zv)[0].stop)
             conn, child_conn = fork.Pipe(duplex=False)
             child = fork.Process(target=_score_in_child, args=(
-                child_conn, stream, zv_by_method[method], ekf_cfg, triggers, marker_map))
+                child_conn, stream[:end], zv[:end], ekf_cfg, triggers, marker_map))
             with child_conn:
                 child.start()
             children[method] = (child, conn)

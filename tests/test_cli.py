@@ -261,6 +261,17 @@ class TestClassify:
         assert "Invalid value for '--trim'" in result.output
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--trim", "1250"], "run_a.csv: too short for --trim 1250"),
+        (["--classes", "0"], "{trials}: need trials from at least two classes"),
+    ], ids=["too-short-for-trim", "one-class"])
+    def test_train_data_error_is_a_one_line_error(self, workdir, tmp_path, args, message):
+        trials = workdir / "trials"
+        line = cli_error(["classify", "train", "--trials", str(trials),
+                          "--out", str(tmp_path / "model.json"), "--stride", "10", *args])
+        assert line == "Error: " + message.format(trials=trials)
+        assert not (tmp_path / "model.json").exists()
+
     def test_predict_labels_walk_as_walk(self, workdir, tmp_path):
         out = tmp_path / "labels.csv"
         run_cli(["classify", "predict", "--imu", str(workdir / "walk.csv"),
@@ -362,6 +373,28 @@ class TestSurvey:
         line = cli_error(["survey", "map", "--observations", str(markers),
                           "--out", str(tmp_path / "map.json")])
         assert line == f"Error: {markers}: not a survey (missing field 'stations')"
+
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda st: st[0].update(observations=st[0]["observations"][:1]),
+         "each station must observe exactly two markers"),
+        (lambda st: st[0]["observations"][1].update(marker_id=2),
+         "stations must observe adjacent marker ids"),
+        (lambda st: st.append(st[0]), "marker pair (0, 1) surveyed more than twice"),
+        # both stations that survey the pair (0, 1)
+        (lambda st: [st.pop(3), st.pop(0)],
+         "surveyed pairs must form a contiguous chain from marker 0"),
+    ], ids=["one-marker", "not-adjacent", "three-times", "no-marker-0"])
+    def test_a_broken_chain_is_a_one_line_error_naming_the_file(self, survey_json, tmp_path,
+                                                               damage, message):
+        path, _ = survey_json
+        data = json.loads(path.read_text())
+        damage(data["stations"])
+        path.write_text(json.dumps(data))
+        out = tmp_path / "map.json"
+        line = cli_error(["survey", "map", "--observations", str(path), "--out", str(out)])
+        assert line == f"Error: {path}: {message}"
+        assert not out.exists()
 
 
 class TestInsRun:

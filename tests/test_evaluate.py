@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zvnav.core import ImuStream
@@ -21,7 +21,7 @@ from zvnav.evaluate import (
     per_marker_errors,
     run_trial,
 )
-from zvnav.ekf import Trajectory, run_ins
+from zvnav.ekf import Trajectory, leveling_samples, run_ins
 from zvnav.simulate import NoiseModel, simulate
 from zvnav.survey import MarkerMap
 
@@ -299,13 +299,61 @@ class TestParallelRunTrial:
         }
         return labels, flags
 
-    def test_report_equals_a_serial_loop(self, trial, adaptive_setup):
-        stream, truth, marker_map, triggers = trial
-        labels, flags = self.flags(trial, adaptive_setup)
+    @pytest.fixture(scope="class")
+    def whole_passes(self, trial, adaptive_setup):
+        """Per log: its stream, labels, and every method's whole-log trajectory.
+
+        "spun" is the trial with the foot spinning through its first second,
+        so that no method flags a stationary sample there."""
+        stream = trial[0]
+        gyro = stream.gyro.copy()
+        gyro[:130, 2] += 6.0
+        logs = {}
+        for name, log in [("still", stream), ("spun", ImuStream(stream.t, stream.accel, gyro))]:
+            labels, flags = self.flags((log,), adaptive_setup)
+            logs[name] = log, labels, {method: run_ins(log, zv, adaptive_setup["ekf"])
+                                       for method, zv in flags.items()}
+        assert all(leveling_samples(traj.t, traj.zupt)[1]
+                   for traj in logs["still"][2].values())
+        assert not any(leveling_samples(traj.t, traj.zupt)[1]
+                       for traj in logs["spun"][2].values())
+        return logs
+
+    # A layout: the log, the samples its triggers fall in ("log": all of
+    # them; "level": those both fixed passes level from), and per trigger
+    # its place in that span (0 to 1) and whether it sits on a sample time.
+    # The farthest marker is triggered by the trigger at far_at.
+    @settings(max_examples=6, deadline=None)
+    @given(log=st.sampled_from(["still", "spun"]), span=st.sampled_from(["log", "level"]),
+           places=st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()),
+                           min_size=2, max_size=6),
+           far_at=st.integers(0, 5), ids_seed=st.integers(0, 2**32 - 1))
+    @example(log="still", span="log", places=[(0.0, True), (0.3, False)], far_at=1, ids_seed=0)
+    @example(log="still", span="log", places=[(0.2, False), (1.0, True)], far_at=1, ids_seed=1)
+    @example(log="still", span="log", places=[(0.1, False), (0.45, True)], far_at=1, ids_seed=2)
+    @example(log="still", span="level", places=[(0.0, True), (0.4, False), (1.0, True)],
+             far_at=2, ids_seed=3)
+    @example(log="spun", span="level", places=[(0.1, False), (0.6, True)], far_at=0, ids_seed=4)
+    @example(log="spun", span="log", places=[(0.05, False), (0.5, True)], far_at=1, ids_seed=5)
+    def test_report_equals_a_serial_loop(self, trial, whole_passes, adaptive_setup,
+                                         log, span, places, far_at, ids_seed):
+        _, truth, marker_map, _ = trial
+        stream, labels, whole = whole_passes[log]
+        if span == "log":
+            last = len(stream) - 1
+        else:
+            last = min(leveling_samples(stream.t, whole[m].zupt)[0].stop
+                       for m in ("gamma_walk", "gamma_run")) - 1
+        at = [round(p * last) if on_sample else p * last for p, on_sample in places]
+        times = np.unique(np.interp(at, np.arange(len(stream)), stream.t))
+        assume(len(times) >= 2)
+        ids = np.random.default_rng(ids_seed).choice(marker_map.marker_ids, len(times))
+        ids[far_at % len(times)] = marker_map.marker_ids[-1]
+        triggers = TriggerLog(times, ids)
+
         furthest, per_marker = {}, {}
-        for method, zv in flags.items():
-            traj = align_trajectory(run_ins(stream, zv, adaptive_setup["ekf"]),
-                                    triggers, marker_map)
+        for method, traj in whole.items():
+            traj = align_trajectory(traj, triggers, marker_map)
             furthest[method] = furthest_point_error(traj, triggers, marker_map)
             per_marker[method] = per_marker_errors(traj, triggers, marker_map)
         path_length = float(np.linalg.norm(np.diff(traj.pos[:, :2], axis=0), axis=1).sum())
@@ -313,7 +361,8 @@ class TestParallelRunTrial:
                              float(np.mean(labels.smoothed == truth.labels)), path_length)
         # json.dumps keeps key order and writes floats by repr: equal text is
         # equal values in equal order
-        assert json.dumps(self.run(trial, adaptive_setup).to_dict()) == json.dumps(serial.to_dict())
+        report = self.run((stream, truth, marker_map, triggers), adaptive_setup)
+        assert json.dumps(report.to_dict()) == json.dumps(serial.to_dict())
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("failing, raised", [
@@ -324,14 +373,20 @@ class TestParallelRunTrial:
     ])
     def test_first_failing_pass_raises_in_the_caller(self, trial, adaptive_setup, monkeypatch,
                                                      failing, raised):
+        stream, _, _, triggers = trial
         _, flags = self.flags(trial, adaptive_setup)
-        assert not any(np.array_equal(flags[a], flags[b])
-                       for a, b in [("gamma_walk", "gamma_run"), ("gamma_walk", "gamma_adapt"),
-                                    ("gamma_run", "gamma_adapt")])
+        # the fixed passes run only up to the last trigger; the flags tell the
+        # passes apart over that span too
+        scored = int(np.searchsorted(stream.t, triggers.t[-1])) + 1
+        for end in (len(stream), scored):
+            assert not any(np.array_equal(flags[a][:end], flags[b][:end])
+                           for a, b in [("gamma_walk", "gamma_run"),
+                                        ("gamma_walk", "gamma_adapt"),
+                                        ("gamma_run", "gamma_adapt")])
 
         def failing_ins(stream, zv, cfg=None):
             for method in failing:
-                if np.array_equal(zv, flags[method]):
+                if np.array_equal(zv, flags[method][:len(zv)]):
                     raise PassFailed(f"{method} pass failed")
             return run_ins(stream, zv, cfg)
 
@@ -341,21 +396,42 @@ class TestParallelRunTrial:
         assert str(err.value) == f"{raised} pass failed"
         assert multiprocessing.active_children() == []
 
-    def test_a_diverging_pass_raises_in_walk_run_adapt_order(self, trial, adaptive_setup):
-        stream, truth, marker_map, triggers = trial
+    @staticmethod
+    def burst(stream, at):
         accel = stream.accel.copy()
-        accel[500:503] = 1e160
-        burst = ImuStream(stream.t, accel, stream.gyro)
-        _, flags = self.flags((burst,), adaptive_setup)
+        accel[at:at + 3] = 1e160
+        return ImuStream(stream.t, accel, stream.gyro)
+
+    def divergence_messages(self, stream, setup):
+        _, flags = self.flags((stream,), setup)
         messages = {}
         for method, zv in flags.items():
             with pytest.raises(ValueError, match="the filter diverged") as err:
-                run_ins(burst, zv, adaptive_setup["ekf"])
+                run_ins(stream, zv, setup["ekf"])
             messages[method] = str(err.value)
+        return messages
+
+    def test_a_diverging_pass_raises_in_walk_run_adapt_order(self, trial, adaptive_setup):
+        stream, truth, marker_map, triggers = trial
+        burst = self.burst(stream, 500)
+        messages = self.divergence_messages(burst, adaptive_setup)
         assert messages["gamma_walk"] not in (messages["gamma_run"], messages["gamma_adapt"])
         with pytest.raises(ValueError) as err:
             self.run((burst, truth, marker_map, triggers), adaptive_setup)
         assert str(err.value) == messages["gamma_walk"]
+        assert multiprocessing.active_children() == []
+
+    def test_a_burst_after_the_last_trigger_diverges_only_the_adaptive_pass(
+            self, trial, adaptive_setup):
+        stream, truth, marker_map, triggers = trial
+        at = int(np.searchsorted(stream.t, triggers.t[-1])) + 500
+        burst = self.burst(stream, at)
+        # every whole pass diverges, and the adaptive one not first
+        messages = self.divergence_messages(burst, adaptive_setup)
+        assert messages["gamma_adapt"] != messages["gamma_walk"]
+        with pytest.raises(ValueError) as err:
+            self.run((burst, truth, marker_map, triggers), adaptive_setup)
+        assert str(err.value) == messages["gamma_adapt"]
         assert multiprocessing.active_children() == []
 
     def test_children_are_joined_when_the_callers_pass_is_interrupted(
