@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import io as zio
-from .core import DEFAULT_RATE_HZ, read_json_object, write_json
+from .core import read_json_object, write_json
 from .detector import AdaptiveParams, DetectorParams, detect
 from .ekf import EkfConfig, run_ins
 from .evaluate import (DEFAULT_MARKER_EVERY, adaptive_zupts, check_triggers,
@@ -35,7 +35,8 @@ from .optimize import (
     default_gamma_grid,
     optimize_gamma,
 )
-from .simulate import CLASS_IDS, CLASS_NAMES, DEFAULT_DURATION, NoiseModel, gait_preset, simulate
+from .simulate import (CLASS_IDS, CLASS_NAMES, DEFAULT_DURATION, DEFAULT_RATE_HZ, NoiseModel,
+                       gait_preset, simulate)
 from .survey import DEFAULT_TAG_SIDE, build_map, frame_to_frame, tag_template
 from .svm import (
     DEFAULT_C_REG,
@@ -296,10 +297,8 @@ def sim_gait(motion, duration, segments, seed, rate, accel_noise, gyro_noise,
              out, truth_out, mocap_out, markers_out, triggers_out, marker_every):
     """Generate a gait trial: IMU log plus exact ground truth."""
     noise = NoiseModel(accel_noise_std=accel_noise, gyro_noise_std=gyro_noise, seed=seed)
-    if segments:
-        stream, truth = simulate(_parse_segments(segments), noise, rate)
-    else:
-        stream, truth = simulate(gait_preset(motion, duration=duration), noise, rate)
+    plan = _parse_segments(segments) if segments else [(gait_preset(motion), duration)]
+    stream, truth = simulate(plan, noise, rate)
     zio.write_imu_csv(out, stream)
     zio.write_truth_csv(truth_out, truth)
     if mocap_out:
@@ -353,8 +352,11 @@ def survey_map(observations, out, side):
     if pairs != [(i, i + 1) for i in range(len(pairs))]:
         raise ValueError(f"{observations}: surveyed pairs must form a contiguous "
                          "chain from marker 0")
+    missing = [p for p in pairs if p not in reverse]
+    if reverse and missing:
+        raise ValueError(f"{observations}: the reverse pass lacks marker pair {missing[0]}")
     fwd_chain = [forward[p] for p in pairs]
-    rev_chain = [reverse[p] for p in pairs] if len(reverse) == len(forward) else None
+    rev_chain = [reverse[p] for p in pairs] if reverse else None
     marker_map = build_map(fwd_chain, rev_chain)
     zio.write_marker_map_json(out, marker_map)
     click.echo(f"{len(marker_map.marker_ids)} markers, "

@@ -27,9 +27,6 @@ import numpy as np
 
 
 GRAVITY = 9.80665
-# largest accepted deviation of a timestamp step from the nominal period, per period
-JITTER_TOLERANCE = 0.1
-DEFAULT_RATE_HZ = 125.0
 
 
 def gravity_vector(magnitude: float = GRAVITY) -> np.ndarray:
@@ -284,17 +281,15 @@ def se3_compose(a: Se3Transform, b: Se3Transform) -> Se3Transform:
 
 @dataclass(frozen=True, eq=False)
 class ImuStream:
-    """Ordered 6-axis IMU samples at a nominal fixed rate (125 Hz default).
+    """Ordered 6-axis IMU samples: at least one, finite, at strictly increasing times.
 
-    Timestamps must be strictly increasing with jitter relative to the
-    nominal period below ``JITTER_TOLERANCE`` (fraction of dt). Integration
-    always uses the measured per-sample dt, not the nominal one.
+    A stream states no rate; integration uses the measured per-sample step.
+    How regular a log's steps must be is ``io.read_imu_csv``'s rule.
     """
 
     t: np.ndarray
     accel: np.ndarray
     gyro: np.ndarray
-    rate_hz: float = DEFAULT_RATE_HZ
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=np.float64)
@@ -307,24 +302,11 @@ class ImuStream:
             raise ValueError("accel and gyro must have shape (n, 3)")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
             raise ValueError("stream values must be finite")
-        require_positive(self, "rate_hz")
-        if n >= 2:
-            dts = np.diff(t)
-            if np.any(dts <= 0):
-                raise ValueError("timestamps must be strictly increasing")
-            if np.max(np.abs(dts - self.dt)) > JITTER_TOLERANCE * self.dt:
-                raise ValueError(
-                    "timestamp jitter exceeds tolerance "
-                    f"({JITTER_TOLERANCE:.0%} of the nominal period)"
-                )
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("timestamps must be strictly increasing")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "accel", a)
         object.__setattr__(self, "gyro", w)
-
-    @property
-    def dt(self) -> float:
-        """Nominal sampling period."""
-        return 1.0 / self.rate_hz
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -332,4 +314,4 @@ class ImuStream:
     def __getitem__(self, key) -> "ImuStream":
         if not isinstance(key, slice):
             raise TypeError("index streams with slices; read one sample from .t, .accel and .gyro")
-        return ImuStream(self.t[key], self.accel[key], self.gyro[key], self.rate_hz)
+        return ImuStream(self.t[key], self.accel[key], self.gyro[key])

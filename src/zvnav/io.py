@@ -7,8 +7,9 @@ order: 1-d for width 1, else (n, width). Floats are written with ``repr``
 (shortest round-trip form) and integer or bool columns as ints, so equal
 inputs give byte-identical files and a read returns the written values.
 
-An IMU log states its own rate: the reader takes the nominal rate as
-1 / (median timestamp step). Config keys are the rows of ``CONFIG_TABLE``:
+An IMU log states no rate. ``read_imu_csv`` holds the one rule on how
+regular its timestamps must be: every step within ``JITTER_TOLERANCE`` of
+the median step. Config keys are the rows of ``CONFIG_TABLE``:
 (key, target, cast), each key the name of the target's field it sets.
 """
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_RATE_HZ, ImuStream, gravity_vector, read_json_object, write_json
+from .core import ImuStream, gravity_vector, read_json_object, write_json
 from .detector import DetectorParams
 from .ekf import EkfConfig, Trajectory
 from .evaluate import TriggerLog
@@ -34,6 +35,8 @@ CSV_FORMATS = {
     "truth": ("t,x,y,z,vx,vy,vz,stance,class", (1, 3, 3), (bool, np.int64)),
     "trigger": ("t,marker_id", (1,), (np.int64,)),
 }
+# largest accepted deviation of an IMU log's timestamp step from its median step, per median step
+JITTER_TOLERANCE = 0.1
 
 
 def _write_csv(path, fmt: str, *columns) -> None:
@@ -92,17 +95,18 @@ def write_imu_csv(path, stream: ImuStream) -> None:
 
 
 def read_imu_csv(path) -> ImuStream:
-    t, accel, gyro = _read_csv(path, "imu")
-    if t.shape[0] < 1:
-        raise ValueError(f"{path}: empty IMU log")
-    dts = np.diff(t)
-    if np.any(dts <= 0):
-        raise ValueError(f"{path}: timestamps must be strictly increasing")
-    rate_hz = 1.0 / float(np.median(dts)) if t.shape[0] >= 2 else DEFAULT_RATE_HZ
+    """An IMU log whose every timestamp step lies within ``JITTER_TOLERANCE`` of the median step."""
     try:
-        return ImuStream(t, accel, gyro, rate_hz)
+        stream = ImuStream(*_read_csv(path, "imu"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if len(stream) >= 2:
+        steps = np.diff(stream.t)
+        median = np.median(steps)
+        if np.max(np.abs(steps - median)) > JITTER_TOLERANCE * median:
+            raise ValueError(f"{path}: timestamp jitter exceeds tolerance "
+                             f"({JITTER_TOLERANCE:.0%} of the median step)")
+    return stream
 
 
 def write_mocap_csv(path, mocap: MocapStream) -> None:
@@ -210,11 +214,18 @@ def write_survey_json(path, stations) -> None:
 # --- key-value config ---------------------------------------------------------
 
 
+def _whole_number(value: float) -> int:
+    whole = int(value)  # NaN and infinity fail here
+    if whole != value:
+        raise ValueError("not a whole number")
+    return whole
+
+
 # One row per field a config key sets: (key, target, cast); the key is the
 # field's name. ``gravity`` sets two, the detector's magnitude and the
 # filter's gravity vector.
 CONFIG_TABLE = (
-    ("window", DetectorParams, int),
+    ("window", DetectorParams, _whole_number),
     ("sigma_a", DetectorParams, float),
     ("sigma_w", DetectorParams, float),
     ("gamma", DetectorParams, float),
@@ -233,8 +244,8 @@ CONFIG_KEYS = tuple(dict.fromkeys(key for key, *_ in CONFIG_TABLE))
 def load_config(path) -> dict[str, float]:
     """Parse a ``key = value`` text config; '#' starts a comment.
 
-    Every key must be one of ``CONFIG_KEYS``, so a misspelt key fails
-    instead of silently leaving its default in place.
+    Every key must be one of ``CONFIG_KEYS`` and appear once, so a misspelt
+    or repeated key fails instead of silently leaving another value in place.
     """
     out: dict[str, float] = {}
     for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -248,6 +259,8 @@ def load_config(path) -> dict[str, float]:
         if key not in CONFIG_KEYS:
             raise ValueError(f"{where}: unknown config key {key!r} "
                              f"(known keys: {', '.join(CONFIG_KEYS)})")
+        if key in out:
+            raise ValueError(f"{where}: config key {key!r} is set again")
         try:
             out[key] = float(value)
         except ValueError:

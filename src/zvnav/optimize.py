@@ -79,9 +79,10 @@ class FBetaConfig:
     def __post_init__(self):
         require_positive(self, "beta_sq", "speed_threshold")
         grid = np.asarray(self.gamma_grid, dtype=np.float64)
-        if grid.size < 1 or np.any(grid <= 0):
-            raise ValueError("gamma grid must be non-empty and positive")
-        if grid.size >= 2 and np.any(np.diff(grid) <= 0):
+        if grid.size < 1:
+            raise ValueError("gamma grid must be non-empty")
+        require_positive({"gamma grid": grid})
+        if np.any(np.diff(grid) <= 0):
             raise ValueError("gamma grid must be strictly increasing")
         object.__setattr__(self, "gamma_grid", grid)
 

@@ -23,28 +23,16 @@ Generation is pure given the seed; trials parallelize across seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_RATE_HZ, ImuStream, gravity_vector, require_positive
+from .core import ImuStream, gravity_vector, require_positive
 
 CLASS_NAMES = ("walk", "jog", "run", "sprint", "crouch", "ladder")
 CLASS_IDS = {name: i for i, name in enumerate(CLASS_NAMES)}
 DEFAULT_DURATION = 60.0
-
-# per-class kinematics: stride (m/step), cadence (steps/s), stance fraction,
-# apex (m), pitch amplitude (deg), climb (m/cycle), stance tremor
-# (accel m/s^2, gyro rad/s, freq Hz), toe-off/heel-strike impact
-# (accel m/s^2, gyro rad/s, delay as swing fraction), resting pitch (deg)
-_PRESETS = {
-    "walk":   (0.7, 1.8, 0.35, 0.08, 30.0, 0.0, 0.0, 0.0, 9.0, 25.0, 3.5, 0.09, 0.0),
-    "jog":    (1.2, 2.3, 0.22, 0.16, 38.0, 0.0, 4.0, 1.3, 9.0, 55.0, 6.5, 0.04, 0.0),
-    "run":    (1.6, 2.8, 0.15, 0.25, 45.0, 0.0, 8.0, 2.6, 11.0, 80.0, 8.0, 0.0, 0.0),
-    "sprint": (2.1, 3.4, 0.10, 0.34, 55.0, 0.0, 12.0, 3.4, 13.0, 96.0, 10.0, 0.0, 0.0),
-    "crouch": (0.4, 1.3, 0.45, 0.04, 12.0, 0.0, 0.6, 0.12, 6.0, 12.0, 1.5, 0.09, -8.0),
-    "ladder": (0.12, 0.9, 0.50, 0.05, 18.0, 0.35, 1.0, 0.20, 3.5, 10.0, 1.2, 0.05, 20.0),
-}
+DEFAULT_RATE_HZ = 125.0
 
 
 @dataclass(frozen=True)
@@ -55,29 +43,28 @@ class GaitProfile:
     stance-plus-swing cycle every two steps.
     """
 
-    motion_class: str = "walk"
-    stride_length: float = 0.7
-    cadence: float = 1.8
-    stance_fraction: float = 0.35
-    swing_apex: float = 0.08
-    pitch_amplitude: float = math.radians(30.0)
-    heading: float = 0.0
-    climb_per_cycle: float = 0.0
-    tremor_accel: float = 0.0
-    tremor_gyro: float = 0.0
-    tremor_freq_hz: float = 9.0
-    impact_accel: float = 25.0
-    impact_gyro: float = 3.5
-    impact_delay: float = 0.09
-    resting_pitch: float = 0.0
-    duration: float = DEFAULT_DURATION
+    motion_class: str
+    stride_length: float  # m per step
+    cadence: float
+    stance_fraction: float
+    swing_apex: float  # m
+    pitch_amplitude: float  # rad
+    climb_per_cycle: float  # m
+    tremor_accel: float  # stance tremor, m/s^2
+    tremor_gyro: float  # rad/s
+    tremor_freq_hz: float
+    impact_accel: float  # toe-off/heel-strike impact, m/s^2
+    impact_gyro: float  # rad/s
+    impact_delay: float  # toe-off delay, as a fraction of the swing
+    resting_pitch: float  # rad
+    heading: float  # rad
 
     def __post_init__(self):
         if self.motion_class not in CLASS_IDS:
             raise ValueError(f"unknown motion class {self.motion_class!r}")
         if not 0.0 < self.stance_fraction < 1.0:
             raise ValueError("stance_fraction must lie strictly between 0 and 1")
-        require_positive(self, "cadence", "duration")
+        require_positive(self, "cadence")
         if not math.isfinite(self.heading):
             raise ValueError("heading must be finite")
 
@@ -102,22 +89,28 @@ class GaitProfile:
         return 2.0 * self.stride_length
 
 
-def gait_preset(motion: str, heading: float = 0.0, duration: float = DEFAULT_DURATION
-                ) -> GaitProfile:
-    """Profile with the built-in kinematics of a named motion class."""
+# the built-in kinematics of each motion class, heading 0, in GaitProfile's field order
+_PRESETS = {p.motion_class: p for p in (
+    GaitProfile("walk", 0.7, 1.8, 0.35, 0.08, math.radians(30.0), 0.0,
+                0.0, 0.0, 9.0, 25.0, 3.5, 0.09, math.radians(0.0), 0.0),
+    GaitProfile("jog", 1.2, 2.3, 0.22, 0.16, math.radians(38.0), 0.0,
+                4.0, 1.3, 9.0, 55.0, 6.5, 0.04, math.radians(0.0), 0.0),
+    GaitProfile("run", 1.6, 2.8, 0.15, 0.25, math.radians(45.0), 0.0,
+                8.0, 2.6, 11.0, 80.0, 8.0, 0.0, math.radians(0.0), 0.0),
+    GaitProfile("sprint", 2.1, 3.4, 0.10, 0.34, math.radians(55.0), 0.0,
+                12.0, 3.4, 13.0, 96.0, 10.0, 0.0, math.radians(0.0), 0.0),
+    GaitProfile("crouch", 0.4, 1.3, 0.45, 0.04, math.radians(12.0), 0.0,
+                0.6, 0.12, 6.0, 12.0, 1.5, 0.09, math.radians(-8.0), 0.0),
+    GaitProfile("ladder", 0.12, 0.9, 0.50, 0.05, math.radians(18.0), 0.35,
+                1.0, 0.20, 3.5, 10.0, 1.2, 0.05, math.radians(20.0), 0.0),
+)}
+
+
+def gait_preset(motion: str, heading: float = 0.0) -> GaitProfile:
+    """The built-in profile of a named motion class, facing ``heading`` (rad)."""
     if motion not in _PRESETS:
         raise ValueError(f"unknown motion class {motion!r}")
-    (stride, cad, stance, apex, pitch_deg, climb, tr_a, tr_g, tr_f,
-     imp_a, imp_g, imp_d, rest_deg) = _PRESETS[motion]
-    return GaitProfile(
-        motion_class=motion, stride_length=stride, cadence=cad,
-        stance_fraction=stance, swing_apex=apex,
-        pitch_amplitude=math.radians(pitch_deg), heading=heading,
-        climb_per_cycle=climb, tremor_accel=tr_a, tremor_gyro=tr_g,
-        tremor_freq_hz=tr_f, impact_accel=imp_a, impact_gyro=imp_g,
-        impact_delay=imp_d, resting_pitch=math.radians(rest_deg),
-        duration=duration,
-    )
+    return replace(_PRESETS[motion], heading=heading)
 
 
 @dataclass(frozen=True)
@@ -151,22 +144,6 @@ class GaitTruth:
         return float(np.linalg.norm(np.diff(self.pos, axis=0), axis=1).sum())
 
 
-def piecewise_profile(segments) -> list[tuple[GaitProfile, float]]:
-    """Check a list of (GaitProfile, duration) segments; durations become floats.
-
-    Segment switches take effect at the first stance midpoint at or after
-    the requested boundary, so transitions never occur mid-swing.
-    """
-    out: list[tuple[GaitProfile, float]] = []
-    for prof, dur in segments:
-        dur = float(dur)
-        require_positive({"segment duration": dur})
-        out.append((prof, dur))
-    if not out:
-        raise ValueError("need at least one segment")
-    return out
-
-
 def _quintic(tau):
     s = tau**3 * (10.0 - 15.0 * tau + 6.0 * tau**2)
     s1 = 30.0 * tau**2 * (1.0 - tau) ** 2
@@ -183,21 +160,23 @@ def _lift(tau):
     return h, h1, h2
 
 
-def simulate(profile, noise: NoiseModel | None = None,
+def simulate(segments, noise: NoiseModel | None = None,
              rate_hz: float = DEFAULT_RATE_HZ) -> tuple[ImuStream, GaitTruth]:
-    """Generate an IMU stream and exact truth for a profile or segment list.
+    """Generate an IMU stream and exact truth for a list of (GaitProfile, seconds).
 
-    The trial starts at rest at a stance midpoint. Measured specific force is
-    the analytic acceleration minus gravity rotated into the body frame, plus
+    The trial starts at rest at a stance midpoint. Segment switches take
+    effect at the first stance midpoint at or after the requested boundary,
+    so transitions never occur mid-swing. Measured specific force is the
+    analytic acceleration minus gravity rotated into the body frame, plus
     stance tremor and noise; the gyro is the exact body rate of the analytic
     attitude. Deterministic under a fixed seed.
     """
     noise = noise or NoiseModel()
     require_positive({"rate_hz": rate_hz})
-    if isinstance(profile, GaitProfile):
-        segments = [(profile, profile.duration)]
-    else:
-        segments = piecewise_profile(profile)
+    segments = [(prof, float(dur)) for prof, dur in segments]
+    if not segments:
+        raise ValueError("need at least one segment")
+    require_positive({"segment duration": np.array([dur for _, dur in segments])})
 
     total = sum(d for _, d in segments)
     n = int(round(total * rate_hz))
@@ -368,7 +347,7 @@ def simulate(profile, noise: NoiseModel | None = None,
     change = np.flatnonzero(class_id[1:] != class_id[:-1]) + 1
     transitions = mids_arr[change]
 
-    stream = ImuStream(t, meas_accel, meas_gyro, rate_hz)
+    stream = ImuStream(t, meas_accel, meas_gyro)
     truth = GaitTruth(
         t=t, pos=pos, vel=vel, stance=stance, labels=labels,
         transitions=transitions, stride_mid_times=mids_arr, stride_anchors=anchors,

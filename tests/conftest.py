@@ -93,11 +93,11 @@ def adaptive_setup(binary_model, optimized_gammas):
 @pytest.fixture(scope="session")
 def six_class_streams():
     train_streams = {
-        m: simulate(gait_preset(m, duration=62.0), NoiseModel(seed=500 + i))[0]
+        m: simulate([(gait_preset(m), 62.0)], NoiseModel(seed=500 + i))[0]
         for i, m in enumerate(CLASS_NAMES)
     }
     test_streams = {
-        m: simulate(gait_preset(m, duration=62.0), NoiseModel(seed=600 + i))[0]
+        m: simulate([(gait_preset(m), 62.0)], NoiseModel(seed=600 + i))[0]
         for i, m in enumerate(CLASS_NAMES)
     }
     return train_streams, test_streams

@@ -42,7 +42,7 @@ def report(criterion, ok, detail):
 
 
 def test_criterion_01_detector_optimizer_closed_loop():
-    stream, truth = simulate(gait_preset("walk", duration=60.0),
+    stream, truth = simulate([(gait_preset("walk"), 60.0)],
                                    NoiseModel(seed=7))
     start = time.perf_counter()
     gamma, curve = optimize_gamma(stream, MocapStream(truth.t, truth.pos, 125.0),
@@ -60,9 +60,9 @@ def test_criterion_02_threshold_ordering_over_seeds():
     wins = 0
     pairs = []
     for seed in range(10):
-        sw, tw = simulate(gait_preset("walk", duration=30.0),
+        sw, tw = simulate([(gait_preset("walk"), 30.0)],
                                 NoiseModel(seed=1000 + seed))
-        sr, tr = simulate(gait_preset("run", duration=30.0),
+        sr, tr = simulate([(gait_preset("run"), 30.0)],
                                 NoiseModel(seed=2000 + seed))
         gw, _ = optimize_gamma(sw, MocapStream(tw.t, tw.pos, 125.0), DetectorParams(),
                                FBetaConfig())
@@ -77,7 +77,7 @@ def test_criterion_02_threshold_ordering_over_seeds():
 
 
 def test_criterion_03_zupt_efficacy():
-    stream, truth = simulate(gait_preset("walk", duration=60.0),
+    stream, truth = simulate([(gait_preset("walk"), 60.0)],
                                    NoiseModel(seed=9))
     path = truth.path_length()
     aided = run_ins(stream, truth.stance, EkfConfig())
@@ -90,7 +90,7 @@ def test_criterion_03_zupt_efficacy():
 
 
 def test_criterion_04_ekf_numerics_over_1e4_steps():
-    stream, truth = simulate(gait_preset("walk", duration=80.0),
+    stream, truth = simulate([(gait_preset("walk"), 80.0)],
                                    NoiseModel(seed=12))
     assert len(stream) == 10000
     cfg = EkfConfig()
@@ -100,7 +100,7 @@ def test_criterion_04_ekf_numerics_over_1e4_steps():
     worst_eig = np.inf
     worst_norm = 0.0
     for k in range(1, 10001):
-        p, v, q, P = propagate(p, v, q, P, stream.accel[k - 1], stream.gyro[k - 1], stream.dt,
+        p, v, q, P = propagate(p, v, q, P, stream.accel[k - 1], stream.gyro[k - 1], 1 / 125,
                                cfg.gravity, cfg.sigma_accel, cfg.sigma_gyro)
         if truth.stance[k - 1]:
             p, v, q, P = zupt_update(p, v, q, P, cfg.sigma_zupt)
@@ -132,12 +132,12 @@ def test_criterion_05_f_beta_unit_exactness():
 def test_criterion_06_svm_binary_and_six_class(six_class_model):
     norm_streams = {}
     for name, seed in (("walk", 21), ("run", 22)):
-        norm_streams[name], _ = simulate(gait_preset(name, duration=62.0),
+        norm_streams[name], _ = simulate([(gait_preset(name), 62.0)],
                                                NoiseModel(seed=seed))
     norm = NormStats.from_streams(list(norm_streams.values()))
 
     def windows(name, seed):
-        stream, _ = simulate(gait_preset(name, duration=62.0),
+        stream, _ = simulate([(gait_preset(name), 62.0)],
                                    NoiseModel(seed=seed))
         return build_windows(stream, 125, stride=14, norm=norm)[:500]
 

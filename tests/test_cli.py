@@ -23,7 +23,7 @@ from zvnav.core import ImuStream
 from zvnav.detector import AdaptiveParams, DetectorParams
 from zvnav.evaluate import adaptive_zupts, marker_layout_from_truth
 from zvnav.optimize import default_gamma_grid
-from zvnav.simulate import NoiseModel, gait_preset, simulate
+from zvnav.simulate import DEFAULT_DURATION, NoiseModel, simulate
 from zvnav.survey import tag_template
 from zvnav.svm import build_windows, load_model, save_model, train
 
@@ -106,8 +106,8 @@ class TestSimGait:
                          "--out", str(out), "--truth", str(truth)], [out, truth])
 
     @pytest.mark.parametrize("args, message", [
-        (["--duration", "inf"], "duration must be positive and finite"),
-        (["--duration", "nan"], "duration must be positive and finite"),
+        (["--duration", "inf"], "segment duration must be positive and finite"),
+        (["--duration", "nan"], "segment duration must be positive and finite"),
         (["--rate", "inf"], "rate_hz must be positive and finite"),
         (["--rate", "nan"], "rate_hz must be positive and finite"),
         (["--segments", "walk:inf"], "segment duration must be positive and finite"),
@@ -164,7 +164,7 @@ class TestZv:
         assert not (tmp_path / "flags.csv").exists()
 
     def test_the_log_rate_is_not_a_config_key(self, workdir, tmp_path):
-        # an IMU log states its own rate: 1 / (median timestamp step)
+        # an IMU log states no rate, and no setting gives it one
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("rate_hz = 125\n")
         line = cli_error(["zv", "detect", "--imu", str(workdir / "walk.csv"),
@@ -192,7 +192,7 @@ class TestZv:
         imu.write_text("\n".join(lines) + "\n")
         line = cli_error(["zv", "detect", "--imu", str(imu), "--gamma", "340000",
                           "--out", str(tmp_path / "flags.csv")])
-        assert line == f"Error: {imu}: timestamp jitter exceeds tolerance (10% of the nominal period)"
+        assert line == f"Error: {imu}: timestamp jitter exceeds tolerance (10% of the median step)"
 
     def test_detect_rejects_repeated_timestamps(self, tmp_path):
         imu = tmp_path / "repeated.csv"
@@ -362,6 +362,16 @@ class TestSurvey:
         assert np.max(np.abs(marker_map.positions - true_positions)) < 1e-9
         assert marker_map.loop_closure_m < 1e-9
 
+    def test_a_forward_only_survey_has_no_loop_closure(self, survey_json, tmp_path):
+        path, true_positions = survey_json
+        data = json.loads(path.read_text())
+        del data["stations"][3:]
+        path.write_text(json.dumps(data))
+        out = tmp_path / "map.json"
+        result = run_cli(["survey", "map", "--observations", str(path), "--out", str(out)])
+        assert result.output == "4 markers, loop closure 0.0000 m over 45.1 m\n"
+        assert np.max(np.abs(zio.read_marker_map_json(out).positions - true_positions)) < 1e-9
+
     def test_map_deterministic(self, survey_json, tmp_path):
         path, _ = survey_json
         out = tmp_path / "map.json"
@@ -384,7 +394,9 @@ class TestSurvey:
         # both stations that survey the pair (0, 1)
         (lambda st: [st.pop(3), st.pop(0)],
          "surveyed pairs must form a contiguous chain from marker 0"),
-    ], ids=["one-marker", "not-adjacent", "three-times", "no-marker-0"])
+        # the last reverse station, which surveys the pair (2, 3)
+        (lambda st: st.pop(), "the reverse pass lacks marker pair (2, 3)"),
+    ], ids=["one-marker", "not-adjacent", "three-times", "no-marker-0", "partial-reverse"])
     def test_a_broken_chain_is_a_one_line_error_naming_the_file(self, survey_json, tmp_path,
                                                                damage, message):
         path, _ = survey_json
@@ -446,6 +458,7 @@ class TestInsRun:
         ("window = 1", "window must be at least 2"),
         ("sigma_zupt = -1", "sigma_zupt must be positive and finite"),
         ("window = 1e400", "window = inf: cannot convert float infinity to integer"),
+        ("window = 5.5", "window = 5.5: not a whole number"),
         ("init_att_std = 1e200", "init_att_std = 1e+200 is too large: its square overflows"),
         ("sigma_accel = 1e200", "sigma_accel = 1e+200 is too large: its square overflows"),
         ("gamma = nan", "gamma must be positive and finite"),
@@ -627,7 +640,7 @@ def test_a_config_key_and_its_flag_set_the_field_of_that_name(workdir, data, row
     ("sim gait", "--seed", NoiseModel().seed),
     ("sim gait", "--accel-noise", NoiseModel().accel_noise_std),
     ("sim gait", "--gyro-noise", NoiseModel().gyro_noise_std),
-    ("sim gait", "--duration", inspect.signature(gait_preset).parameters["duration"].default),
+    ("sim gait", "--duration", DEFAULT_DURATION),
     ("sim gait", "--rate", inspect.signature(simulate).parameters["rate_hz"].default),
     ("sim gait", "--marker-every",
      inspect.signature(marker_layout_from_truth).parameters["every"].default),

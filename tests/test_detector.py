@@ -19,7 +19,7 @@ from zvnav.simulate import NoiseModel, gait_preset, simulate
 def stream_of(accel_rows, gyro_rows, rate=125.0):
     n = len(accel_rows)
     t = np.arange(n) / rate
-    return ImuStream(t, np.asarray(accel_rows, float), np.asarray(gyro_rows, float), rate)
+    return ImuStream(t, np.asarray(accel_rows, float), np.asarray(gyro_rows, float))
 
 
 def stance_window(n=5):
@@ -38,7 +38,7 @@ class TestShoeStatistic:
         assert got == pytest.approx(3302.9, abs=0.1)
 
     def test_mid_swing_statistic_is_large(self):
-        stream, truth = simulate(gait_preset("walk", duration=10.0), NoiseModel(seed=0))
+        stream, truth = simulate([(gait_preset("walk"), 10.0)], NoiseModel(seed=0))
         stats = shoe_statistics(stream, DetectorParams())
         # the window centred in each swing phase
         moving = ~truth.stance
@@ -107,7 +107,7 @@ class TestDetect:
             detect(stance_window(3), DetectorParams())
 
     def test_detection_count_monotone_in_gamma(self):
-        stream, _ = simulate(gait_preset("walk", duration=10.0), NoiseModel(seed=3))
+        stream, _ = simulate([(gait_preset("walk"), 10.0)], NoiseModel(seed=3))
         counts = []
         prev = None
         for gamma in np.logspace(2, 8, 25):
@@ -120,21 +120,21 @@ class TestDetect:
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_trailing_samples_reuse_last_window(self):
-        stream, _ = simulate(gait_preset("walk", duration=4.0), NoiseModel(seed=4))
+        stream, _ = simulate([(gait_preset("walk"), 4.0)], NoiseModel(seed=4))
         params = DetectorParams(gamma=1e5)
         flags = detect(stream, params)
         assert (flags[-4:] == flags[-5]).all()
 
     def test_reference_walk_threshold_accuracy(self):
         # subject-mean walking threshold on a synthetic walk trial
-        stream, truth = simulate(gait_preset("walk", duration=60.0), NoiseModel(seed=7))
+        stream, truth = simulate([(gait_preset("walk"), 60.0)], NoiseModel(seed=7))
         flags = detect(stream, DetectorParams(gamma=0.96e5))
         assert np.mean(flags == truth.stance) >= 0.95
 
 
 class TestDetectAdaptive:
     def test_constant_labels_match_fixed(self):
-        stream, _ = simulate(gait_preset("walk", duration=6.0), NoiseModel(seed=5))
+        stream, _ = simulate([(gait_preset("walk"), 6.0)], NoiseModel(seed=5))
         ap = AdaptiveParams(gamma_walk=1e4, gamma_run=1e6)
         params = DetectorParams()
         walk_like = detect_adaptive(stream, np.zeros(len(stream), int), params, ap)
@@ -144,7 +144,7 @@ class TestDetectAdaptive:
         assert np.array_equal(run_like, detect(stream, replace(params, gamma=1e6)))
 
     def test_switching_is_exact_per_sample(self):
-        stream, _ = simulate(gait_preset("run", duration=6.0), NoiseModel(seed=6))
+        stream, _ = simulate([(gait_preset("run"), 6.0)], NoiseModel(seed=6))
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 2, len(stream))
         ap = AdaptiveParams(gamma_walk=3e5, gamma_run=3e6)
@@ -157,7 +157,7 @@ class TestDetectAdaptive:
         assert np.array_equal(adaptive, expected)
 
     def test_invalid_labels_rejected(self):
-        stream, _ = simulate(gait_preset("walk", duration=2.0), NoiseModel(seed=7))
+        stream, _ = simulate([(gait_preset("walk"), 2.0)], NoiseModel(seed=7))
         with pytest.raises(ValueError):
             detect_adaptive(stream, np.full(len(stream), 2), DetectorParams(), AdaptiveParams())
         with pytest.raises(ValueError):
@@ -171,7 +171,7 @@ class TestDetectAdaptive:
 
 class TestPerSampleStatistics:
     def test_matches_single_window_evaluation(self):
-        stream, _ = simulate(gait_preset("walk", duration=3.0), NoiseModel(seed=8))
+        stream, _ = simulate([(gait_preset("walk"), 3.0)], NoiseModel(seed=8))
         params = DetectorParams()
         stats = shoe_statistics(stream, params)
         for n in (0, 17, 100, len(stats) - 1):

@@ -336,18 +336,18 @@ class TestLeveling:
 
 class TestRunIns:
     def test_length_mismatch(self):
-        stream, truth = simulate(gait_preset("walk", duration=2.0), NoiseModel(seed=0))
+        stream, truth = simulate([(gait_preset("walk"), 2.0)], NoiseModel(seed=0))
         with pytest.raises(ValueError):
             run_ins(stream, truth.stance[:-1], EkfConfig())
 
     def test_walking_with_oracle_flags_below_one_percent(self):
-        stream, truth = simulate(gait_preset("walk", duration=60.0), NoiseModel(seed=9))
+        stream, truth = simulate([(gait_preset("walk"), 60.0)], NoiseModel(seed=9))
         traj = run_ins(stream, truth.stance, EkfConfig())
         err = np.linalg.norm(traj.pos[-1, :2] - truth.pos[-1, :2])
         assert err < 0.01 * truth.path_length()
 
     def test_disabling_zupt_is_far_worse(self):
-        stream, truth = simulate(gait_preset("walk", duration=60.0), NoiseModel(seed=9))
+        stream, truth = simulate([(gait_preset("walk"), 60.0)], NoiseModel(seed=9))
         aided = run_ins(stream, truth.stance, EkfConfig())
         err_aided = np.linalg.norm(aided.pos[-1, :2] - truth.pos[-1, :2])
         with pytest.warns(UserWarning, match="first second"):
@@ -367,19 +367,19 @@ class TestRunIns:
 
     def test_zero_noise_discretization_error(self):
         noise = NoiseModel(accel_noise_std=0.0, gyro_noise_std=0.0, seed=1)
-        stream, truth = simulate(gait_preset("walk", duration=60.0), noise, rate_hz=250.0)
+        stream, truth = simulate([(gait_preset("walk"), 60.0)], noise, rate_hz=250.0)
         traj = run_ins(stream, truth.stance, EkfConfig())
         err = np.linalg.norm(traj.pos[-1, :2] - truth.pos[-1, :2])
         assert err < 0.001 * truth.path_length()
 
     def test_quaternion_norm_drift(self):
-        stream, truth = simulate(gait_preset("run", duration=20.0), NoiseModel(seed=4))
+        stream, truth = simulate([(gait_preset("run"), 20.0)], NoiseModel(seed=4))
         traj = run_ins(stream, truth.stance, EkfConfig())
         norms = np.linalg.norm(traj.quat, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-9
 
     def test_bit_identical_reruns(self):
-        stream, truth = simulate(gait_preset("walk", duration=10.0), NoiseModel(seed=5))
+        stream, truth = simulate([(gait_preset("walk"), 10.0)], NoiseModel(seed=5))
         a = run_ins(stream, truth.stance, EkfConfig())
         b = run_ins(stream, truth.stance, EkfConfig())
         assert np.array_equal(a.pos, b.pos)
@@ -387,7 +387,7 @@ class TestRunIns:
         assert np.array_equal(a.quat, b.quat)
 
     def test_concurrent_runs_share_no_scratch(self):
-        cases = [simulate(gait_preset(motion, duration=3.0), NoiseModel(seed=seed))
+        cases = [simulate([(gait_preset(motion), 3.0)], NoiseModel(seed=seed))
                  for motion, seed in (("walk", 21), ("run", 22), ("walk", 23), ("run", 24))]
         sequential = [run_ins(stream, truth.stance) for stream, truth in cases]
         interval = sys.getswitchinterval()
@@ -403,7 +403,7 @@ class TestRunIns:
 
     @pytest.mark.parametrize("channel", ["accel", "gyro"])
     def test_a_diverging_filter_names_the_first_state_not_finite(self, channel):
-        stream, truth = simulate(gait_preset("walk", duration=4.0), NoiseModel(seed=3))
+        stream, truth = simulate([(gait_preset("walk"), 4.0)], NoiseModel(seed=3))
         channels = {"accel": stream.accel.copy(), "gyro": stream.gyro.copy()}
         channels[channel][200:203] = 1e160
         burst = ImuStream(stream.t, channels["accel"], channels["gyro"])
@@ -424,8 +424,7 @@ class TestRunIns:
     def test_a_process_noise_square_that_overflows_is_a_diverging_filter(self, field):
         # at 0.5 Hz, (1e154 * 2 s) ** 2 overflows while 1e154 ** 2 does not
         n = 5
-        stream = ImuStream(2.0 * np.arange(n), np.tile(G_UP, (n, 1)), np.zeros((n, 3)),
-                           rate_hz=0.5)
+        stream = ImuStream(2.0 * np.arange(n), np.tile(G_UP, (n, 1)), np.zeros((n, 3)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
@@ -433,6 +432,6 @@ class TestRunIns:
         assert str(info.value) == "the filter diverged: its state is not finite at t = 2.000 s"
 
     def test_trajectory_accessors(self):
-        stream, truth = simulate(gait_preset("walk", duration=2.0), NoiseModel(seed=6))
+        stream, truth = simulate([(gait_preset("walk"), 2.0)], NoiseModel(seed=6))
         traj = run_ins(stream, truth.stance, EkfConfig())
         assert len(traj) == len(stream)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zvnav import io as zio
-from zvnav.core import write_json
+from zvnav.core import ImuStream, write_json
 from zvnav.ekf import EkfConfig, run_ins
 from zvnav.evaluate import TriggerLog, marker_layout_from_truth
 from zvnav.optimize import MocapStream, PrCurve
@@ -20,7 +20,7 @@ from zvnav.svm import load_model
 
 @pytest.fixture()
 def short_trial():
-    return simulate(gait_preset("walk", duration=4.0), NoiseModel(seed=5))
+    return simulate([(gait_preset("walk"), 4.0)], NoiseModel(seed=5))
 
 
 class TestImuCsv:
@@ -32,7 +32,6 @@ class TestImuCsv:
         assert np.array_equal(back.t, stream.t)
         assert np.array_equal(back.accel, stream.accel)
         assert np.array_equal(back.gyro, stream.gyro)
-        assert back.rate_hz == pytest.approx(stream.rate_hz)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -62,9 +61,20 @@ class TestImuCsv:
         with pytest.raises(ValueError, match=r"imu\.csv: timestamp jitter exceeds tolerance"):
             zio.read_imu_csv(path)
 
+    def test_rejects_excess_jitter(self, tmp_path):
+        path = tmp_path / "imu.csv"
+        write_imu_log(path, [0.0, 0.008, 0.018])
+        with pytest.raises(ValueError, match=r"imu\.csv: timestamp jitter exceeds tolerance"):
+            zio.read_imu_csv(path)
+
+    def test_jitter_within_tolerance_accepted(self, tmp_path):
+        path = tmp_path / "imu.csv"
+        write_imu_log(path, [0.0, 0.0082, 0.0162])
+        assert len(zio.read_imu_csv(path)) == 3
+
     @pytest.mark.parametrize("t", [[0.0, 0.0, 0.0], [0.0, -0.008, -0.016, 0.5]])
     def test_non_increasing_timestamps_name_file(self, tmp_path, t):
-        # checked before the rate is estimated from the median step, which is
+        # checked before the steps are compared with their median, which is
         # zero (repeated) or negative (mostly decreasing) here
         path = tmp_path / "imu.csv"
         path.write_text("t,ax,ay,az,wx,wy,wz\n" + "".join(f"{ti},0,0,9.8,0,0,0\n" for ti in t))
@@ -77,6 +87,35 @@ class TestImuCsv:
         zio.write_imu_csv(a, stream)
         zio.write_imu_csv(b, stream)
         assert a.read_bytes() == b.read_bytes()
+
+
+def write_imu_log(path, t) -> None:
+    """A still IMU log at the timestamps ``t``."""
+    zio.write_imu_csv(path, ImuStream(t, np.zeros((len(t), 3)), np.zeros((len(t), 3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(period=st.floats(1e-3, 1.0),
+       ratios=st.lists(st.floats(0.96, 1.04), min_size=3, max_size=40),
+       moved=st.none() | st.tuples(st.integers(0, 39), st.floats(0.05, 0.8) | st.floats(1.2, 3.0)))
+def test_a_log_reads_only_if_every_step_lies_near_the_median_step(period, ratios, moved):
+    # steps of 0.96-1.04 periods lie within 10% of their median; one step
+    # moved below 0.8 or above 1.2 periods lies beyond it, whatever the median
+    steps = np.array(ratios) * period
+    if moved is not None:
+        index, factor = moved
+        steps[index % len(steps)] = factor * period
+    t = np.concatenate([[0.0], np.cumsum(steps)])
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "imu.csv"
+        write_imu_log(path, t)
+        if moved is None:
+            assert np.array_equal(zio.read_imu_csv(path).t, t)
+            return
+        with pytest.raises(ValueError) as info:
+            zio.read_imu_csv(path)
+    assert str(info.value) == (f"{path}: timestamp jitter exceeds tolerance "
+                               "(10% of the median step)")
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -252,6 +291,13 @@ class TestConfig:
         path.write_text("window = 7\nsigma_zup = 5\n")
         with pytest.raises(ValueError, match=r"cfg\.txt, line 2: unknown config key 'sigma_zup'"):
             zio.load_config(path)
+
+    def test_rejects_repeated_key(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("gamma = 1e5\nwindow = 7\ngamma = 2e5\n")
+        with pytest.raises(ValueError) as info:
+            zio.load_config(path)
+        assert str(info.value) == f"{path}, line 3: config key 'gamma' is set again"
 
     def test_accepts_every_documented_key(self, tmp_path):
         path = tmp_path / "cfg.txt"

@@ -47,8 +47,8 @@ class TestLabelZeroVelocity:
         assert np.array_equal(labels[1:-1], expect[1:-1])
 
     def test_simulator_stance_boundaries_match_speed_crossing(self):
-        profile = gait_preset("walk", duration=20.0)
-        _, truth = simulate(profile, NoiseModel(seed=0))
+        profile = gait_preset("walk")
+        _, truth = simulate([(profile, 20.0)], NoiseModel(seed=0))
         labels = label_zero_velocity(MocapStream(truth.t, truth.pos, 125.0), 0.1)
         truth_edges = np.flatnonzero(np.diff(truth.stance.astype(int)))
         label_edges = np.flatnonzero(np.diff(labels.astype(int)))
@@ -242,7 +242,7 @@ class TestOptimizeGamma:
     def test_no_stationary_truth_raises(self):
         t = np.arange(125) / 125.0
         pos = np.outer(t, [2.0, 0.0, 0.0])  # always faster than any threshold
-        stream, _ = simulate(gait_preset("walk", duration=1.0), NoiseModel(seed=2))
+        stream, _ = simulate([(gait_preset("walk"), 1.0)], NoiseModel(seed=2))
         with pytest.raises(UndefinedRecallError):
             optimize_gamma(stream, MocapStream(t, pos), DetectorParams(),
                            FBetaConfig(speed_threshold=0.01))
@@ -265,7 +265,7 @@ class TestOptimizeGamma:
 class TestOptimizationFailure:
     def test_all_zero_f_beta(self):
         # thresholds so small nothing is ever detected: recall 0 everywhere
-        stream, truth = simulate(gait_preset("walk", duration=4.0), NoiseModel(seed=3))
+        stream, truth = simulate([(gait_preset("walk"), 4.0)], NoiseModel(seed=3))
         mocap = MocapStream(truth.t, truth.pos, 125.0)
         cfg = FBetaConfig(gamma_grid=np.array([1e-9, 2e-9]))
         with pytest.raises(OptimizationFailedError):

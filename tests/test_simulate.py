@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,8 @@ from zvnav.ekf import EkfConfig, run_ins
 from zvnav.simulate import (
     CLASS_IDS,
     CLASS_NAMES,
-    GaitProfile,
     NoiseModel,
     gait_preset,
-    piecewise_profile,
     simulate,
 )
 
@@ -31,9 +30,9 @@ class TestProfiles:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GaitProfile(stance_fraction=1.0)
+            replace(gait_preset("walk"), stance_fraction=1.0)
         with pytest.raises(ValueError):
-            GaitProfile(cadence=0.0)
+            replace(gait_preset("walk"), cadence=0.0)
 
     def test_cycle_kinematics(self):
         p = gait_preset("walk")
@@ -43,7 +42,7 @@ class TestProfiles:
 
 class TestSimulateTruth:
     def test_stance_samples_are_exactly_still(self):
-        stream, truth = simulate(gait_preset("walk", duration=10.0), ZERO_NOISE)
+        stream, truth = simulate([(gait_preset("walk"), 10.0)], ZERO_NOISE)
         assert np.all(truth.vel[truth.stance] == 0.0)
         # measured specific force during walking stance is exactly gravity
         assert np.allclose(stream.accel[truth.stance], [0.0, 0.0, GRAVITY], atol=1e-12)
@@ -51,7 +50,7 @@ class TestSimulateTruth:
 
     def test_velocity_integrates_to_position(self):
         # trapezoid quadrature of the analytic velocity at a fine rate
-        _, truth = simulate(gait_preset("walk", duration=60.0), ZERO_NOISE, rate_hz=2000.0)
+        _, truth = simulate([(gait_preset("walk"), 60.0)], ZERO_NOISE, rate_hz=2000.0)
         dt = np.diff(truth.t)[:, None]
         integrated = truth.pos[0] + np.cumsum(0.5 * (truth.vel[1:] + truth.vel[:-1]) * dt, axis=0)
         err = np.max(np.linalg.norm(integrated - truth.pos[1:], axis=1))
@@ -59,47 +58,39 @@ class TestSimulateTruth:
 
     def test_stance_fraction_matches_profile(self):
         for name in ("walk", "run"):
-            p = gait_preset(name, duration=40.0)
-            _, truth = simulate(p, ZERO_NOISE)
+            p = gait_preset(name)
+            _, truth = simulate([(p, 40.0)], ZERO_NOISE)
             assert np.mean(truth.stance) == pytest.approx(p.stance_fraction, abs=0.01)
 
     def test_path_advances_along_heading(self):
         heading = 0.7
-        _, truth = simulate(gait_preset("walk", heading=heading, duration=20.0), ZERO_NOISE)
+        _, truth = simulate([(gait_preset("walk", heading=heading), 20.0)], ZERO_NOISE)
         direction = truth.pos[-1][:2]
         assert math.atan2(direction[1], direction[0]) == pytest.approx(heading, abs=1e-6)
 
     def test_deterministic_under_seed(self):
-        a_stream, a_truth = simulate(gait_preset("run", duration=5.0), NoiseModel(seed=42))
-        b_stream, b_truth = simulate(gait_preset("run", duration=5.0), NoiseModel(seed=42))
+        a_stream, a_truth = simulate([(gait_preset("run"), 5.0)], NoiseModel(seed=42))
+        b_stream, b_truth = simulate([(gait_preset("run"), 5.0)], NoiseModel(seed=42))
         assert np.array_equal(a_stream.accel, b_stream.accel)
         assert np.array_equal(a_stream.gyro, b_stream.gyro)
         assert np.array_equal(a_truth.pos, b_truth.pos)
-        c_stream, _ = simulate(gait_preset("run", duration=5.0), NoiseModel(seed=43))
+        c_stream, _ = simulate([(gait_preset("run"), 5.0)], NoiseModel(seed=43))
         assert not np.array_equal(a_stream.accel, c_stream.accel)
 
     def test_duration_and_rate(self):
-        stream, truth = simulate(gait_preset("walk", duration=4.0), ZERO_NOISE, rate_hz=200.0)
+        stream, truth = simulate([(gait_preset("walk"), 4.0)], ZERO_NOISE, rate_hz=200.0)
         assert len(stream) == 800
-        assert stream.rate_hz == 200.0
+        assert np.array_equal(stream.t, np.arange(800) / 200.0)
         with pytest.raises(ValueError):
-            simulate(gait_preset("walk", duration=0.001), ZERO_NOISE, rate_hz=125.0)
+            simulate([(gait_preset("walk"), 0.001)], ZERO_NOISE, rate_hz=125.0)
 
 
 class TestPiecewise:
-    def test_single_segment_equals_plain_profile(self):
-        p = gait_preset("walk")
-        s1, t1 = simulate([(p, 10.0)], NoiseModel(seed=1))
-        s2, t2 = simulate(
-            GaitProfile(**{**p.__dict__, "duration": 10.0}), NoiseModel(seed=1))
-        assert np.array_equal(s1.accel, s2.accel)
-        assert np.array_equal(t1.pos, t2.pos)
-
     def test_walk_then_run_flips_once_at_stance_midpoint(self):
-        segments = piecewise_profile([
+        segments = [
             (gait_preset("walk"), 10.0),
             (gait_preset("run"), 10.0),
-        ])
+        ]
         _, truth = simulate(segments, NoiseModel(seed=2))
         flips = np.flatnonzero(np.diff(truth.labels))
         assert len(flips) == 1
@@ -112,17 +103,17 @@ class TestPiecewise:
 
     def test_alternating_segments_transition_during_stance(self):
         segments = [(gait_preset("walk"), 8.0), (gait_preset("run"), 8.0)] * 3
-        _, truth = simulate(piecewise_profile(segments), NoiseModel(seed=3))
+        _, truth = simulate(segments, NoiseModel(seed=3))
         assert len(truth.transitions) == 5
         for tt in truth.transitions:
             i = np.searchsorted(truth.t, tt)
             assert truth.stance[min(i, len(truth.stance) - 1)]
 
     def test_segment_validation(self):
-        with pytest.raises(ValueError):
-            piecewise_profile([])
-        with pytest.raises(ValueError):
-            piecewise_profile([(gait_preset("walk"), -1.0)])
+        with pytest.raises(ValueError, match="need at least one segment"):
+            simulate([])
+        with pytest.raises(ValueError, match="segment duration must be positive and finite"):
+            simulate([(gait_preset("walk"), 10.0), (gait_preset("run"), -1.0)])
 
 
 class TestMeasurementRealism:
@@ -133,7 +124,7 @@ class TestMeasurementRealism:
         # walking-grade threshold), so for them the usable guarantee is a
         # strict gap, not two decades
         params = DetectorParams()
-        stream, truth = simulate(gait_preset(name, duration=30.0), NoiseModel(seed=11))
+        stream, truth = simulate([(gait_preset(name), 30.0)], NoiseModel(seed=11))
         stats = shoe_statistics(stream, params)
         w = params.window
         all_stance = np.array([truth.stance[i:i + w].all() for i in range(len(stats))])
@@ -141,7 +132,7 @@ class TestMeasurementRealism:
         assert stats[all_stance].max() * margin <= stats[all_swing].min()
 
     def test_running_stance_is_not_sensor_still(self):
-        stream, truth = simulate(gait_preset("run", duration=20.0), ZERO_NOISE)
+        stream, truth = simulate([(gait_preset("run"), 20.0)], ZERO_NOISE)
         stance_gyro = np.linalg.norm(stream.gyro[truth.stance], axis=1)
         assert stance_gyro.max() > 1.0
         assert np.all(truth.vel[truth.stance] == 0.0)
