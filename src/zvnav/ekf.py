@@ -26,11 +26,11 @@ products R @ accel, F @ P @ F.T, P[:, 3:6] @ inv(S), K @ (-v),
 IKH @ P @ IKH.T and K @ K.T, with the operands, shapes and layouts that new
 arrays would have. Those stay BLAS products, because a hand-written sum
 rounds differently in the last bits. ``run_ins`` is pure, so independent
-passes can run in parallel: ``evaluate.run_trial`` runs its two
-fixed-threshold passes in forked child processes beside the adaptive one.
-It is also causal: on a prefix of the stream that holds its
-``leveling_samples``, it gives the whole stream's states bit for bit, which
-is how ``run_trial`` runs the fixed passes only as far as its triggers.
+passes can run in parallel: ``evaluate.score_flags`` runs all its passes but
+the last in one forked child process beside the last. It is also causal: on
+a prefix of the stream that holds its ``leveling_samples``, it gives the
+whole stream's states bit for bit, which is how ``score_flags`` runs the
+child's passes only as far as the triggers.
 """
 from __future__ import annotations
 
@@ -116,9 +116,8 @@ class Workspace:
         self.IKH_V = self.IKH[:, 3:6]
 
 
-def propagate(p, v, q, P, accel, gyro, dt, g, sig_a, sig_g, ws=None):
+def propagate(p, v, q, P, accel, gyro, dt, g, sig_a, sig_g, ws):
     """Advance position, velocity, quaternion and covariance by one IMU sample."""
-    ws = ws or Workspace()
     p0, p1, p2 = p
     v0, v1, v2 = v
     g0, g1, g2 = g
@@ -148,9 +147,8 @@ def propagate(p, v, q, P, accel, gyro, dt, g, sig_a, sig_g, ws=None):
     return p_new, v_new, q_new, 0.5 * (ws.FPF + ws.FPF.T)
 
 
-def zupt_update(p, v, q, P, sigma_zupt, ws=None):
+def zupt_update(p, v, q, P, sigma_zupt, ws):
     """Fuse one zero-velocity pseudo-measurement and inject the correction."""
-    ws = ws or Workspace()
     r = sigma_zupt * sigma_zupt
     ws.S[...] = P[3:6, 3:6]
     m = ws.S_flat

@@ -10,15 +10,13 @@ the surveyed chain, where symmetric step-length errors cannot cancel the way
 they do at loop closure.
 
 ``adaptive_zupts`` is the paper's detector, its threshold switched by the
-classified motion. ``run_trial`` compares the two fixed thresholds against
-it on one stream. Its three INS passes are independent and pure, so after
-classifying and detecting it forks one child process per fixed threshold
-and runs the adaptive pass itself meanwhile; the children inherit their
-inputs through ``fork`` and send back only their scores. The adaptive pass
-covers the whole stream; a fixed pass, read only at the trigger times, stops
-at the first sample at or after the last one. The report is the one a serial
-loop over whole passes would give, and is deterministic given inputs and
-seed. ``fork`` makes this POSIX-only.
+classified motion. ``score_flags`` scores the INS over any named ZUPT flag
+sets; ``run_trial`` scores the two fixed thresholds and the adaptive one. The
+passes are independent and pure, so the scorer runs the last set itself while
+one forked child, inheriting its inputs, runs the others and sends back only
+their scores, each pass stopping just after the last trigger. The report is
+the one a serial loop over whole passes would give, and is deterministic
+given inputs and seed. ``fork`` makes this POSIX-only.
 """
 from __future__ import annotations
 
@@ -55,7 +53,9 @@ class TriggerLog:
         ids = np.asarray(self.marker_ids, dtype=np.int64)
         if t.ndim != 1 or ids.shape != t.shape:
             raise ValueError("t and marker_ids must be 1-d arrays of equal length")
-        if t.shape[0] >= 2 and np.any(np.diff(t) <= 0):
+        if not np.all(np.isfinite(t)):
+            raise ValueError("trigger timestamps must be finite")
+        if np.any(np.diff(t) <= 0):
             raise ValueError("trigger timestamps must be strictly increasing")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "marker_ids", ids)
@@ -155,7 +155,7 @@ def check_triggers(stream: ImuStream, triggers: TriggerLog, marker_map: MarkerMa
     """Fail unless every trigger names a surveyed marker at a time inside the stream.
 
     Also fails when the triggers cannot align a trajectory or never pass the
-    farthest marker: the checks every ``run_trial`` pass would fail.
+    farthest marker: the checks every ``score_flags`` pass would fail.
     """
     if len(triggers) < 2:
         raise ValueError("need at least two trigger events to align")
@@ -187,24 +187,6 @@ def _recorded_score(*args) -> tuple:
             return None, exc, [w.message for w in caught]
 
 
-def _score_in_child(conn, *args) -> None:
-    result, exc, caught = _recorded_score(*args)
-    if exc is not None:
-        exc.add_note("in a forked scoring process:\n"
-                     + "".join(traceback.format_tb(exc.__traceback__)))
-    conn.send((result, exc, caught))
-    conn.close()
-
-
-def _received(child, conn, method: str) -> tuple:
-    try:
-        return conn.recv()
-    except EOFError:
-        child.join()
-        raise RuntimeError(f"the {method} scoring process exited with code "
-                           f"{child.exitcode} before sending its scores") from None
-
-
 def adaptive_zupts(stream: ImuStream, model: SvmModel, detector: DetectorParams,
                    gammas: AdaptiveParams) -> tuple[LabelStream, np.ndarray]:
     """Motion labels, and stationary flags thresholded at ``gammas.gamma_run`` where
@@ -216,28 +198,82 @@ def adaptive_zupts(stream: ImuStream, model: SvmModel, detector: DetectorParams,
     return labels, detect_adaptive(stream, labels.smoothed == model.classes[1], detector, gammas)
 
 
+def score_flags(stream: ImuStream, flags_by_name: dict, ekf_cfg: EkfConfig,
+                triggers: TriggerLog, marker_map: MarkerMap) -> TrialReport:
+    """Run the INS over each named set of ZUPT flags and score it against the markers.
+
+    The report holds each set's errors, in ``flags_by_name`` order, and the
+    last set's path length. That set's pass runs here over the whole stream;
+    one forked child runs the others in order, each only up to the first
+    sample at or after the last trigger and through its ``leveling_samples``,
+    which gives the whole pass's scores: a set that diverges only after the
+    last trigger fails only if it is the last. The child is joined before
+    returning or raising; its death raises ``RuntimeError``. Each pass's
+    warnings are issued again here, then its exception raised, in
+    ``flags_by_name`` order; the child's carry a note with their traceback.
+    """
+    if not flags_by_name:
+        raise ValueError("need at least one flag set to score")
+    flags = {name: np.asarray(zv, dtype=bool) for name, zv in flags_by_name.items()}
+    for name, zv in flags.items():
+        if zv.shape != (len(stream),):
+            raise ValueError(f"flag set {name!r} must hold one flag per stream sample")
+    check_triggers(stream, triggers, marker_map)
+    *forked, last = flags
+    # np.interp reads a trigger from the samples either side of it, or from the
+    # sample on it, so nothing after the first sample at or after the last one
+    scored = int(np.searchsorted(stream.t, triggers.t[-1])) + 1
+    ends = [max(scored, leveling_samples(stream.t, flags[name])[0].stop) for name in forked]
+
+    def score_forked(conn) -> None:
+        outcomes = [_recorded_score(stream[:end], flags[name][:end], ekf_cfg, triggers,
+                                    marker_map) for name, end in zip(forked, ends)]
+        for exc in (exc for _, exc, _ in outcomes if exc is not None):
+            exc.add_note("in a forked scoring process:\n"
+                         + "".join(traceback.format_tb(exc.__traceback__)))
+        conn.send(outcomes)
+
+    outcomes, child = [], None
+    try:
+        if forked:
+            fork = multiprocessing.get_context("fork")
+            conn, child_conn = fork.Pipe(duplex=False)
+            child = fork.Process(target=score_forked, args=(child_conn,))
+            with child_conn:
+                child.start()
+        last_outcome = _recorded_score(stream, flags[last], ekf_cfg, triggers, marker_map)
+        if child is not None:
+            try:
+                outcomes = conn.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"the process scoring {', '.join(forked)} exited with code "
+                                   f"{child.exitcode} before sending its scores") from None
+    finally:
+        if child is not None:
+            conn.close()
+            child.join()
+
+    outcomes.append(last_outcome)
+    for _, exc, caught in outcomes:
+        for message in caught:
+            warnings.warn(message, stacklevel=2)
+        if exc is not None:
+            raise exc
+    furthest, per_marker, lengths = zip(*(result for result, _, _ in outcomes))
+    return TrialReport(dict(zip(flags, furthest)), dict(zip(flags, per_marker)), None, lengths[-1])
+
+
 def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
               detector: DetectorParams, ekf_cfg: EkfConfig,
               triggers: TriggerLog, marker_map: MarkerMap,
               class_truth=None) -> TrialReport:
-    """Classify, detect with three thresholding methods, run the INS, score.
+    """Classify, detect with three thresholding methods, and ``score_flags`` them.
 
     ``class_truth`` (per-sample class ids, optional) is compared against the
     smoothed classifier output for the reported SVM accuracy. The model must
     be binary; its second class is treated as the faster motion when
-    switching thresholds.
-
-    The two fixed-threshold passes run in forked child processes while this
-    process runs the adaptive one; every child is joined before returning or
-    raising. Each pass's warnings are issued again here, then its exception
-    raised, in walk, run, adapt order.
-
-    The adaptive pass, which gives the path length, covers the whole stream.
-    A fixed pass covers the samples up to the first one at or after the last
-    trigger, and at least its ``ekf.leveling_samples``; its scores are those
-    of the whole pass. So a fixed pass that would diverge only after the last
-    trigger does not fail the trial: the adaptive pass's error is raised, if
-    it diverges there too.
+    switching thresholds. The adaptive method is scored last, in this process.
     """
     if class_truth is not None:
         class_truth = np.asarray(class_truth)
@@ -246,47 +282,13 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
                              f"{len(stream)} samples; it must hold one per sample")
     check_triggers(stream, triggers, marker_map)
     labels, adaptive_flags = adaptive_zupts(stream, model, detector, gammas)
-
-    zv_by_method = {
+    report = score_flags(stream, {
         METHOD_WALK: detect(stream, replace(detector, gamma=gammas.gamma_walk)),
         METHOD_RUN: detect(stream, replace(detector, gamma=gammas.gamma_run)),
         METHOD_ADAPT: adaptive_flags,
-    }
-
-    # np.interp reads a trigger from the samples either side of it, or from the
-    # sample on it, so nothing after the first sample at or after the last one
-    scored = int(np.searchsorted(stream.t, triggers.t[-1])) + 1
-    fork = multiprocessing.get_context("fork")
-    children = {}
-    try:
-        for method in (METHOD_WALK, METHOD_RUN):
-            zv = zv_by_method[method]
-            end = max(scored, leveling_samples(stream.t, zv)[0].stop)
-            conn, child_conn = fork.Pipe(duplex=False)
-            child = fork.Process(target=_score_in_child, args=(
-                child_conn, stream[:end], zv[:end], ekf_cfg, triggers, marker_map))
-            with child_conn:
-                child.start()
-            children[method] = (child, conn)
-        adaptive = _recorded_score(stream, zv_by_method[METHOD_ADAPT], ekf_cfg,
-                                   triggers, marker_map)
-        outcomes = {method: _received(child, conn, method)
-                    for method, (child, conn) in children.items()}
-        outcomes[METHOD_ADAPT] = adaptive
-    finally:
-        for child, conn in children.values():
-            conn.close()
-            child.join()
-
-    for _, exc, caught in outcomes.values():
-        for message in caught:
-            warnings.warn(message, stacklevel=2)
-        if exc is not None:
-            raise exc
-    furthest = {method: result[0] for method, (result, _, _) in outcomes.items()}
-    per_marker = {method: result[1] for method, (result, _, _) in outcomes.items()}
+    }, ekf_cfg, triggers, marker_map)
     svm_accuracy = None if class_truth is None else float(np.mean(labels.smoothed == class_truth))
-    return TrialReport(furthest, per_marker, svm_accuracy, outcomes[METHOD_ADAPT][0][2])
+    return replace(report, svm_accuracy=svm_accuracy)
 
 
 def marker_layout_from_truth(truth: GaitTruth, every: int = DEFAULT_MARKER_EVERY

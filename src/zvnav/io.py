@@ -74,6 +74,15 @@ def _read_csv(path, fmt: str) -> list[np.ndarray]:
     return columns
 
 
+def _read_log(path, fmt: str, make):
+    """``make`` of a format's columns; a value ``make`` rejects fails naming the file."""
+    columns = _read_csv(path, fmt)
+    try:
+        return make(*columns)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _malformed_line(path, lines, width: int, first_lineno: int) -> str:
     for lineno, line in enumerate(lines, start=first_lineno):
         fields = line.split(",")
@@ -96,10 +105,7 @@ def write_imu_csv(path, stream: ImuStream) -> None:
 
 def read_imu_csv(path) -> ImuStream:
     """An IMU log whose every timestamp step lies within ``JITTER_TOLERANCE`` of the median step."""
-    try:
-        stream = ImuStream(*_read_csv(path, "imu"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    stream = _read_log(path, "imu", ImuStream)
     if len(stream) >= 2:
         steps = np.diff(stream.t)
         median = np.median(steps)
@@ -114,7 +120,7 @@ def write_mocap_csv(path, mocap: MocapStream) -> None:
 
 
 def read_mocap_csv(path) -> MocapStream:
-    return MocapStream(*_read_csv(path, "mocap"))
+    return _read_log(path, "mocap", MocapStream)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
@@ -150,7 +156,7 @@ def write_trigger_csv(path, triggers: TriggerLog) -> None:
 
 
 def read_trigger_csv(path) -> TriggerLog:
-    return TriggerLog(*_read_csv(path, "trigger"))
+    return _read_log(path, "trigger", TriggerLog)
 
 
 # --- markers, surveys ------------------------------------------------------------

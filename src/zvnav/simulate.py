@@ -35,6 +35,13 @@ DEFAULT_DURATION = 60.0
 DEFAULT_RATE_HZ = 125.0
 
 
+def _require_non_negative(obj, *names: str) -> None:
+    """Fail naming the first of ``obj``'s fields ``names`` that is negative or not finite."""
+    for name in names:
+        if not 0 <= getattr(obj, name) < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite")
+
+
 @dataclass(frozen=True)
 class GaitProfile:
     """Kinematic parameters of one motion class.
@@ -64,9 +71,14 @@ class GaitProfile:
             raise ValueError(f"unknown motion class {self.motion_class!r}")
         if not 0.0 < self.stance_fraction < 1.0:
             raise ValueError("stance_fraction must lie strictly between 0 and 1")
-        require_positive(self, "cadence")
-        if not math.isfinite(self.heading):
-            raise ValueError("heading must be finite")
+        require_positive(self, "stride_length", "cadence", "swing_apex", "tremor_freq_hz")
+        _require_non_negative(self, "pitch_amplitude", "tremor_accel", "tremor_gyro",
+                              "impact_accel", "impact_gyro")
+        if not 0.0 <= self.impact_delay < 1.0:
+            raise ValueError("impact_delay must lie in [0, 1)")
+        for name in ("climb_per_cycle", "resting_pitch", "heading"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def class_id(self) -> int:
@@ -122,9 +134,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("accel_noise_std", "gyro_noise_std"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+        _require_non_negative(self, "accel_noise_std", "gyro_noise_std")
 
 
 @dataclass(frozen=True, eq=False)

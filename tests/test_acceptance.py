@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from zvnav.cli import main as cli_main
 from zvnav.core import Quaternion
 from zvnav.detector import DetectorParams, per_sample_statistics
-from zvnav.ekf import EkfConfig, propagate, run_ins, zupt_update
+from zvnav.ekf import EkfConfig, Workspace, propagate, run_ins, zupt_update
 from zvnav.evaluate import marker_layout_from_truth, run_trial
 from zvnav.optimize import (
     FBetaConfig,
@@ -96,14 +96,15 @@ def test_criterion_04_ekf_numerics_over_1e4_steps():
     cfg = EkfConfig()
     p, v, q = np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0])
     P = cfg.initial_covariance()
+    ws = Workspace()
     worst_sym = 0.0
     worst_eig = np.inf
     worst_norm = 0.0
     for k in range(1, 10001):
         p, v, q, P = propagate(p, v, q, P, stream.accel[k - 1], stream.gyro[k - 1], 1 / 125,
-                               cfg.gravity, cfg.sigma_accel, cfg.sigma_gyro)
+                               cfg.gravity, cfg.sigma_accel, cfg.sigma_gyro, ws)
         if truth.stance[k - 1]:
-            p, v, q, P = zupt_update(p, v, q, P, cfg.sigma_zupt)
+            p, v, q, P = zupt_update(p, v, q, P, cfg.sigma_zupt, ws)
         worst_sym = max(worst_sym, float(np.max(np.abs(P - P.T))))
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(P)[0]))
         worst_norm = max(worst_norm, abs(Quaternion.from_array(q).norm - 1.0))

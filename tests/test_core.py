@@ -20,7 +20,7 @@ from zvnav.core import (
     se3_compose,
 )
 from zvnav.detector import AdaptiveParams, DetectorParams
-from zvnav.ekf import EkfConfig, propagate
+from zvnav.ekf import EkfConfig, Workspace, propagate
 from zvnav.optimize import FBetaConfig, MocapStream, f_beta
 from zvnav.simulate import gait_preset, simulate
 from zvnav.svm import load_model, train
@@ -109,7 +109,7 @@ def attitude_step(q: Quaternion, phi) -> Quaternion:
     """
     zero = np.zeros(3)
     _, _, q_new, _ = propagate(zero, zero, q.as_array(), np.eye(9), zero,
-                               np.asarray(phi, dtype=float), 1.0, zero, 1.0, 1.0)
+                               np.asarray(phi, dtype=float), 1.0, zero, 1.0, 1.0, Workspace())
     return Quaternion.from_array(q_new)
 
 

@@ -32,11 +32,11 @@ def rest_state(cfg=EkfConfig()):
 
 def step(state, accel, gyro, dt, cfg=EkfConfig()):
     return propagate(*state, np.asarray(accel, float), np.asarray(gyro, float), dt,
-                     cfg.gravity, cfg.sigma_accel, cfg.sigma_gyro)
+                     cfg.gravity, cfg.sigma_accel, cfg.sigma_gyro, Workspace())
 
 
 def zupt(state, cfg=EkfConfig()):
-    return zupt_update(*state, cfg.sigma_zupt)
+    return zupt_update(*state, cfg.sigma_zupt, Workspace())
 
 
 def symmetry_defect(P):
@@ -268,13 +268,13 @@ def test_kernels_match_the_reference_bit_for_bit(case):
     ws = Workspace()
     for accel, gyro, dt, with_zupt in samples:
         reference = reference_propagate(*reference, accel, gyro, dt, *args)
-        fresh = propagate(*fresh, accel, gyro, dt, *args)
+        fresh = propagate(*fresh, accel, gyro, dt, *args, Workspace())
         reused = propagate(*reused, accel, gyro, dt, *args, ws)
         assert_same_bits(fresh, reference)
         assert_same_bits(reused, reference)
         if with_zupt:
             reference = reference_zupt_update(*reference, cfg.sigma_zupt)
-            fresh = zupt_update(*fresh, cfg.sigma_zupt)
+            fresh = zupt_update(*fresh, cfg.sigma_zupt, Workspace())
             reused = zupt_update(*reused, cfg.sigma_zupt, ws)
             assert_same_bits(fresh, reference)
             assert_same_bits(reused, reference)
@@ -300,14 +300,15 @@ def test_run_ins_is_the_step_kernels_stepped_by_hand(case):
     # run_ins levels from the first stationary run, here sample 0 alone
     q0 = level_from_accel(stream.accel[0])
     p, v, q, P = np.zeros(3), np.zeros(3), q0, cfg.initial_covariance()
+    ws = Workspace()
     rows = []
     for k in range(len(stream)):
         if k > 0:
             p, v, q, P = propagate(p, v, q, P, stream.accel[k], stream.gyro[k],
                                    stream.t[k] - stream.t[k - 1], cfg.gravity,
-                                   cfg.sigma_accel, cfg.sigma_gyro)
+                                   cfg.sigma_accel, cfg.sigma_gyro, ws)
         if zv[k]:
-            p, v, q, P = zupt_update(p, v, q, P, cfg.sigma_zupt)
+            p, v, q, P = zupt_update(p, v, q, P, cfg.sigma_zupt, ws)
         rows.append(np.concatenate([p, v, q]))
         if k % 2:
             # the kernels return tuples and take ndarray or tuple state alike

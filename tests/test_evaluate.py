@@ -20,6 +20,7 @@ from zvnav.evaluate import (
     marker_layout_from_truth,
     per_marker_errors,
     run_trial,
+    score_flags,
 )
 from zvnav.ekf import Trajectory, leveling_samples, run_ins
 from zvnav.simulate import NoiseModel, simulate
@@ -273,7 +274,8 @@ class PassInterrupted(BaseException):
 
 
 class TestParallelRunTrial:
-    """The fixed-threshold passes run in forked children; forks inherit monkeypatches."""
+    """``score_flags`` runs every pass but the last in one forked child; forks inherit
+    monkeypatches."""
 
     @pytest.fixture(scope="class")
     def trial(self):
@@ -476,3 +478,89 @@ class TestParallelRunTrial:
         monkeypatch.setattr("zvnav.evaluate.run_ins", counting_ins)
         self.run(trial, adaptive_setup)
         assert callers == [os.getpid()]
+
+    @settings(max_examples=5, deadline=None)
+    @given(picks=st.lists(st.sampled_from(["gamma_walk", "gamma_run", "gamma_adapt"])
+                          | st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+    @example(picks=["gamma_adapt"])
+    @example(picks=["gamma_walk", 0, "gamma_adapt", 1, "gamma_walk"])
+    def test_scores_equal_a_serial_loop(self, trial, whole_passes, adaptive_setup, picks):
+        # each pick is a method's flags or a random mask drawn from a seed
+        _, _, marker_map, triggers = trial
+        stream, _, whole = whole_passes["still"]
+        flags, serial = {}, {}
+        for i, pick in enumerate(picks):
+            name = f"{i} {pick}"
+            if isinstance(pick, str):
+                flags[name], traj = whole[pick].zupt, whole[pick]
+            else:
+                flags[name] = np.random.default_rng(pick).random(len(stream)) < 0.3
+                traj = run_ins(stream, flags[name], adaptive_setup["ekf"])
+            serial[name] = traj = align_trajectory(traj, triggers, marker_map)
+        path_length = float(np.linalg.norm(np.diff(traj.pos[:, :2], axis=0), axis=1).sum())
+        expected = TrialReport(
+            {name: furthest_point_error(t, triggers, marker_map) for name, t in serial.items()},
+            {name: per_marker_errors(t, triggers, marker_map) for name, t in serial.items()},
+            None, path_length)
+        report = score_flags(stream, flags, adaptive_setup["ekf"], triggers, marker_map)
+        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+        assert multiprocessing.active_children() == []
+
+    def test_five_flag_sets_fork_one_child(self, trial, whole_passes, adaptive_setup,
+                                           monkeypatch, tmp_path):
+        _, _, marker_map, triggers = trial
+        stream, _, whole = whole_passes["still"]
+        pids = tmp_path / "pids"
+
+        def recording_ins(*args, **kwargs):
+            with pids.open("a") as f:
+                f.write(f"{os.getpid()}\n")
+            return run_ins(*args, **kwargs)
+
+        monkeypatch.setattr("zvnav.evaluate.run_ins", recording_ins)
+        flags = {name: traj.zupt for name, traj in whole.items()}
+        flags.update(walk_again=flags["gamma_walk"], run_again=flags["gamma_run"])
+        score_flags(stream, flags, adaptive_setup["ekf"], triggers, marker_map)
+        recorded = pids.read_text().split()
+        assert len(recorded) == 5 and len(set(recorded)) == 2
+        assert recorded.count(str(os.getpid())) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_is_a_runtime_error(self, trial, whole_passes, adaptive_setup,
+                                                  monkeypatch):
+        _, _, marker_map, triggers = trial
+        stream, _, whole = whole_passes["still"]
+        caller = os.getpid()
+
+        def dying_ins(*args, **kwargs):
+            if os.getpid() != caller:
+                os._exit(3)
+            return run_ins(*args, **kwargs)
+
+        monkeypatch.setattr("zvnav.evaluate.run_ins", dying_ins)
+        flags = {name: traj.zupt for name, traj in whole.items()}
+        with pytest.raises(RuntimeError, match="^the process scoring gamma_walk, gamma_run exited "
+                                               "with code 3 before sending its scores$"):
+            score_flags(stream, flags, adaptive_setup["ekf"], triggers, marker_map)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("extra, trigger_t, message", [
+        (None, 1.0, "need at least one flag set to score"),
+        (1, 1.0, "flag set 'bad' must hold one flag per stream sample"),
+        (-1, 1.0, "flag set 'bad' must hold one flag per stream sample"),
+        (0, 80.0, r"trigger time 80.000s lies outside the IMU log span \(0.000s to 58.992s\)"),
+    ])
+    def test_bad_input_fails_before_any_pass(self, trial, adaptive_setup, monkeypatch,
+                                             extra, trigger_t, message):
+        stream = trial[0]
+
+        def no_ins(*args, **kwargs):
+            raise AssertionError("run_ins called before the inputs were checked")
+
+        monkeypatch.setattr("zvnav.evaluate.run_ins", no_ins)
+        n = len(stream)
+        flags = {} if extra is None else {"good": np.ones(n, bool), "bad": np.ones(n + extra, bool)}
+        triggers = TriggerLog(np.array([0.5, trigger_t]), np.array([0, 1]))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            score_flags(stream, flags, adaptive_setup["ekf"], triggers, straight_map(2))
+        assert multiprocessing.active_children() == []

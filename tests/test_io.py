@@ -187,6 +187,35 @@ class TestOtherCsv:
         assert np.array_equal(back.t, trig.t)
         assert np.array_equal(back.marker_ids, trig.marker_ids)
 
+    @pytest.mark.parametrize("reader, text, message", [
+        (zio.read_trigger_csv, "t,marker_id\n1.0,0\nnan,1\n3.0,2\n",
+         "trigger timestamps must be finite"),
+        (zio.read_trigger_csv, "t,marker_id\n1.0,0\ninf,1\n", "trigger timestamps must be finite"),
+        (zio.read_trigger_csv, "t,marker_id\n2.0,0\n1.0,1\n",
+         "trigger timestamps must be strictly increasing"),
+        (zio.read_mocap_csv, "t,x,y,z\n0.0,0,0,0\n0.0,0,0,0\n",
+         "timestamps must be strictly increasing"),
+        (zio.read_mocap_csv, "t,x,y,z\n0.0,0,0,nan\n", "mocap values must be finite"),
+    ])
+    def test_a_rejected_log_names_its_file(self, tmp_path, reader, text, message):
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("reader, fmt", [
+        (zio.read_imu_csv, "imu"), (zio.read_mocap_csv, "mocap"), (zio.read_trigger_csv, "trigger"),
+    ])
+    def test_a_malformed_line_names_its_file_once(self, tmp_path, reader, fmt):
+        header = zio.CSV_FORMATS[fmt][0]
+        width = len(header.split(","))
+        path = tmp_path / "log.csv"
+        path.write_text(header + "\n" + ",".join(["0"] * (width + 1)) + "\n")
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}, line 2: expected {width} fields, found {width + 1}"
+
     def test_pr_curve_written_with_header(self, tmp_path):
         curve = PrCurve(np.array([1e2, 1e3]), np.array([1.0, 0.5]),
                         np.array([0.1, 0.9]), np.array([0.2, 0.6]))

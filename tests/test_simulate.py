@@ -34,6 +34,27 @@ class TestProfiles:
         with pytest.raises(ValueError):
             replace(gait_preset("walk"), cadence=0.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("stride_length", math.nan, "stride_length must be positive and finite"),
+        ("stride_length", 0.0, "stride_length must be positive and finite"),
+        ("swing_apex", -1.0, "swing_apex must be positive and finite"),
+        ("tremor_freq_hz", 0.0, "tremor_freq_hz must be positive and finite"),
+        ("pitch_amplitude", -0.1, "pitch_amplitude must be non-negative and finite"),
+        ("tremor_accel", math.inf, "tremor_accel must be non-negative and finite"),
+        ("tremor_gyro", math.nan, "tremor_gyro must be non-negative and finite"),
+        ("impact_accel", -1.0, "impact_accel must be non-negative and finite"),
+        ("impact_gyro", math.inf, "impact_gyro must be non-negative and finite"),
+        ("impact_delay", 5.0, r"impact_delay must lie in \[0, 1\)"),
+        ("impact_delay", 1.0, r"impact_delay must lie in \[0, 1\)"),
+        ("impact_delay", -0.1, r"impact_delay must lie in \[0, 1\)"),
+        ("impact_delay", math.nan, r"impact_delay must lie in \[0, 1\)"),
+        ("climb_per_cycle", math.inf, "climb_per_cycle must be finite"),
+        ("resting_pitch", math.nan, "resting_pitch must be finite"),
+    ])
+    def test_every_field_is_checked_where_it_enters(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(gait_preset("run"), **{field: value})
+
     def test_cycle_kinematics(self):
         p = gait_preset("walk")
         assert p.cycle_period == pytest.approx(2.0 / 1.8)
