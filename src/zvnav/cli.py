@@ -37,7 +37,7 @@ from .optimize import (
 )
 from .simulate import (CLASS_IDS, CLASS_NAMES, DEFAULT_DURATION, DEFAULT_RATE_HZ, NoiseModel,
                        gait_preset, simulate)
-from .survey import DEFAULT_TAG_SIDE, build_map, frame_to_frame, tag_template
+from .survey import DEFAULT_TAG_SIDE, build_map, tag_template
 from .svm import (
     DEFAULT_C_REG,
     DEFAULT_WINDOW_LEN,
@@ -256,14 +256,20 @@ def classify_predict(imu, model_path, out):
 
 
 def _parse_segments(text: str):
+    """``--segments`` as (profile, duration) pairs; a malformed segment fails naming it."""
     segments = []
     for part in text.split(","):
-        fields = part.strip().split(":")
-        if len(fields) not in (2, 3):
-            raise click.UsageError("segments look like 'walk:20' or 'walk:20:3.1416'")
-        name, dur = fields[0], float(fields[1])
-        profile = gait_preset(name, heading=float(fields[2]) if len(fields) == 3 else 0.0)
-        segments.append((profile, dur))
+        segment = part.strip()
+        name, *numbers = segment.split(":")
+        if len(numbers) not in (1, 2):
+            raise ValueError(f"--segments: {segment!r}: expected name:duration[:heading_rad]")
+        values = []
+        for v in numbers:
+            try:
+                values.append(float(v))
+            except ValueError:
+                raise ValueError(f"--segments: {segment!r}: cannot read {v!r} as a number") from None
+        segments.append((gait_preset(name, *values[1:]), values[0]))
     return segments
 
 
@@ -331,33 +337,10 @@ def survey():
 def survey_map(observations, out, side):
     """Compound surveyed frame pairs into one marker map."""
     stations = zio.read_survey_json(observations)
-    template = tag_template(side)
-    forward: dict[tuple[int, int], object] = {}
-    reverse: dict[tuple[int, int], object] = {}
-    for obs in stations:
-        if len(obs) != 2:
-            raise ValueError(f"{observations}: each station must observe exactly two markers")
-        lo, hi = sorted(obs, key=lambda o: o.marker_id)
-        if hi.marker_id != lo.marker_id + 1:
-            raise ValueError(f"{observations}: stations must observe adjacent marker ids")
-        pair = (lo.marker_id, hi.marker_id)
-        transform = frame_to_frame(lo, hi, template)
-        if pair not in forward:
-            forward[pair] = transform
-        elif pair not in reverse:
-            reverse[pair] = transform
-        else:
-            raise ValueError(f"{observations}: marker pair {pair} surveyed more than twice")
-    pairs = sorted(forward)
-    if pairs != [(i, i + 1) for i in range(len(pairs))]:
-        raise ValueError(f"{observations}: surveyed pairs must form a contiguous "
-                         "chain from marker 0")
-    missing = [p for p in pairs if p not in reverse]
-    if reverse and missing:
-        raise ValueError(f"{observations}: the reverse pass lacks marker pair {missing[0]}")
-    fwd_chain = [forward[p] for p in pairs]
-    rev_chain = [reverse[p] for p in pairs] if reverse else None
-    marker_map = build_map(fwd_chain, rev_chain)
+    try:
+        marker_map = build_map(stations, tag_template(side))
+    except ValueError as exc:
+        raise ValueError(f"{observations}: {exc}") from None
     zio.write_marker_map_json(out, marker_map)
     click.echo(f"{len(marker_map.marker_ids)} markers, "
                f"loop closure {marker_map.loop_closure_m:.4f} m over "

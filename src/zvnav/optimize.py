@@ -138,25 +138,6 @@ def align_labels(mocap: MocapStream, stationary: np.ndarray,
     return stationary[nearest], valid
 
 
-def precision_recall(pred, truth) -> tuple[float, float]:
-    """Precision and recall with "stationary" as the positive class.
-
-    Precision is 1 by convention when nothing was predicted positive.
-    """
-    pred = np.asarray(pred, dtype=bool)
-    truth = np.asarray(truth, dtype=bool)
-    if pred.shape != truth.shape:
-        raise ValueError("pred and truth must have equal length")
-    n_pos = int(truth.sum())
-    if n_pos == 0:
-        raise UndefinedRecallError("ground truth contains no stationary samples")
-    tp = int((pred & truth).sum())
-    fp = int((pred & ~truth).sum())
-    precision = tp / (tp + fp) if (tp + fp) > 0 else 1.0
-    recall = tp / n_pos
-    return precision, recall
-
-
 def f_beta(p, r, beta_sq: float):
     """F-beta score (1 + b2) p r / (b2 p + r) of floats or arrays; 0 where p = r = 0."""
     p = np.asarray(p, dtype=np.float64)

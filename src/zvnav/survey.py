@@ -150,31 +150,43 @@ def _chain_positions(pairwise: Sequence[Se3Transform]) -> np.ndarray:
     return np.array(pos)
 
 
-def build_map(pairwise: Sequence[Se3Transform],
-              reverse: Sequence[Se3Transform] | None = None) -> MarkerMap:
-    """Compound a chain of adjacent-marker transforms into a marker map.
+def build_map(stations: Sequence[Sequence[MarkerObservation]],
+              template: np.ndarray) -> MarkerMap:
+    """Compound a survey's stations into a marker map anchored at marker 0.
 
-    ``pairwise[i]`` maps marker-i coordinates into marker-(i+1) coordinates;
-    the markers are numbered 0, 1, ... along the chain, and marker i+1's
-    position is the composed chain of inverses applied to the origin. When
-    an independently surveyed ``reverse`` chain of the same shape is given,
-    the loop-closure error is the distance between the two far-end
-    estimates; the forward positions are always the ones kept. The path
-    length covers the surveyed loop (both directions when a reverse chain
-    exists).
+    Holds the survey's pass rules. Each station observes two adjacent
+    markers; a pair's first station, in file order, feeds the forward chain
+    and its second the reverse one, and no pair is surveyed a third time.
+    The forward pairs chain from marker 0, and the reverse pass covers every
+    pair or none; with it, the loop-closure error is the distance between
+    the two far-end estimates and the path length covers both directions.
+    The forward positions are the ones kept.
     """
-    pairwise = list(pairwise)
-    if len(pairwise) < 1:
-        raise ValueError("need at least one pairwise transform")
-    positions = _chain_positions(pairwise)
-    seg = np.linalg.norm(np.diff(positions, axis=0), axis=1)
-    path_length = float(seg.sum())
+    if not stations:
+        raise ValueError("the survey holds no stations")
+    surveyed: dict[tuple[int, int], list[Se3Transform]] = {}
+    for obs in stations:
+        if len(obs) != 2:
+            raise ValueError("each station must observe exactly two markers")
+        lo, hi = sorted(obs, key=lambda o: o.marker_id)
+        if hi.marker_id != lo.marker_id + 1:
+            raise ValueError("stations must observe adjacent marker ids")
+        pair = (lo.marker_id, hi.marker_id)
+        passes = surveyed.setdefault(pair, [])
+        if len(passes) == 2:
+            raise ValueError(f"marker pair {pair} surveyed more than twice")
+        passes.append(frame_to_frame(lo, hi, template))
+    pairs = sorted(surveyed)
+    if pairs != [(i, i + 1) for i in range(len(pairs))]:
+        raise ValueError("surveyed pairs must form a contiguous chain from marker 0")
+    once = [p for p in pairs if len(surveyed[p]) == 1]
+    if 0 < len(once) < len(pairs):
+        raise ValueError(f"the reverse pass lacks marker pair {once[0]}")
+    positions = _chain_positions([surveyed[p][0] for p in pairs])
+    path_length = float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
     closure = 0.0
-    if reverse is not None:
-        reverse = list(reverse)
-        if len(reverse) != len(pairwise):
-            raise ValueError("reverse chain must match the forward chain length")
-        rpos = _chain_positions(reverse)
+    if not once:
+        rpos = _chain_positions([surveyed[p][1] for p in pairs])
         closure = float(np.linalg.norm(positions[-1] - rpos[-1]))
         path_length += float(np.linalg.norm(np.diff(rpos, axis=0), axis=1).sum())
     return MarkerMap(tuple(range(len(positions))), positions, closure, path_length)

@@ -368,29 +368,6 @@ def smooth(raw, window: int = DEFAULT_SMOOTH_WINDOW,
     return (sums / divisor >= threshold).astype(np.int64)
 
 
-def confusion_matrix(pred, truth, classes=tuple(range(6))) -> tuple[np.ndarray, float]:
-    """Row-normalized confusion matrix (rows = truth) and mean accuracy.
-
-    Rows of absent classes stay zero; the mean accuracy averages the diagonal
-    over the classes present in the truth.
-    """
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape:
-        raise ValueError("pred and truth must have equal length")
-    classes = tuple(classes)
-    k = len(classes)
-    index = {c: i for i, c in enumerate(classes)}
-    mat = np.zeros((k, k))
-    for tr, pr in zip(truth, pred):
-        mat[index[int(tr)], index[int(pr)]] += 1
-    row_sums = mat.sum(axis=1)
-    present = row_sums > 0
-    mat[present] /= row_sums[present, None]
-    mean_acc = float(np.mean(np.diag(mat)[present])) if present.any() else 0.0
-    return mat, mean_acc
-
-
 @dataclass(frozen=True, eq=False)
 class LabelStream:
     """Per-sample motion labels: raw SVM output and the smoothed sequence."""

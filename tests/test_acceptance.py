@@ -26,9 +26,9 @@ from zvnav.optimize import (
 )
 from zvnav.simulate import NoiseModel, gait_preset, simulate
 from zvnav.survey import build_map, tag_template, umeyama_align
-from zvnav.svm import build_windows, confusion_matrix, predict_batch, smooth, train, NormStats
+from zvnav.svm import build_windows, predict_batch, smooth, train, NormStats
 
-from conftest import mixed_segments, out_and_back
+from conftest import confusion_matrix, mixed_segments, out_and_back
 from test_survey import random_transform, synthetic_survey
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -182,8 +182,8 @@ def test_criterion_07_smoothing_rules():
 
 def test_criterion_08_survey_precision():
     rng = np.random.default_rng(42)
-    _, forward, reverse = synthetic_survey(rng)
-    marker_map = build_map(forward, reverse)
+    _, stations = synthetic_survey(rng)
+    marker_map = build_map(stations, tag_template())
     closure_ok = marker_map.loop_closure_m < 1e-9
 
     src = rng.normal(size=(5, 3))

@@ -114,6 +114,12 @@ class TestSimGait:
         (["--segments", "walk:nan"], "segment duration must be positive and finite"),
         (["--segments", "walk:10:inf"], "heading must be finite"),
         (["--segments", "walk:10:nan"], "heading must be finite"),
+        (["--segments", "walk:abc"], "--segments: 'walk:abc': cannot read 'abc' as a number"),
+        (["--segments", "walk:5:"], "--segments: 'walk:5:': cannot read '' as a number"),
+        (["--segments", "walk:5,run"],
+         "--segments: 'run': expected name:duration[:heading_rad]"),
+        (["--segments", "walk:5:0:1"],
+         "--segments: 'walk:5:0:1': expected name:duration[:heading_rad]"),
         (["--accel-noise", "nan"], "accel_noise_std must be non-negative and finite"),
         (["--gyro-noise", "inf"], "gyro_noise_std must be non-negative and finite"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
@@ -396,7 +402,11 @@ class TestSurvey:
          "surveyed pairs must form a contiguous chain from marker 0"),
         # the last reverse station, which surveys the pair (2, 3)
         (lambda st: st.pop(), "the reverse pass lacks marker pair (2, 3)"),
-    ], ids=["one-marker", "not-adjacent", "three-times", "no-marker-0", "partial-reverse"])
+        (lambda st: st.clear(), "the survey holds no stations"),
+        (lambda st: st[0]["observations"][0].update(points=[[i, 0.0, 0.0] for i in range(5)]),
+         "source points are collinear or coincident"),
+    ], ids=["one-marker", "not-adjacent", "three-times", "no-marker-0", "partial-reverse",
+            "no-stations", "collinear-tag"])
     def test_a_broken_chain_is_a_one_line_error_naming_the_file(self, survey_json, tmp_path,
                                                                damage, message):
         path, _ = survey_json

@@ -15,11 +15,31 @@ from zvnav.optimize import (
     f_beta,
     label_zero_velocity,
     optimize_gamma,
-    precision_recall,
 )
 from zvnav.simulate import NoiseModel, gait_preset, simulate
 
 from conftest import mocap_of
+
+
+def precision_recall(pred, truth) -> tuple[float, float]:
+    """Precision and recall with "stationary" as the positive class, counted
+    sample by sample: the reference that ``optimize_gamma``'s sorted sweep
+    must reproduce.
+
+    Precision is 1 by convention when nothing was predicted positive.
+    """
+    pred = np.asarray(pred, dtype=bool)
+    truth = np.asarray(truth, dtype=bool)
+    if pred.shape != truth.shape:
+        raise ValueError("pred and truth must have equal length")
+    n_pos = int(truth.sum())
+    if n_pos == 0:
+        raise UndefinedRecallError("ground truth contains no stationary samples")
+    tp = int((pred & truth).sum())
+    fp = int((pred & ~truth).sum())
+    precision = tp / (tp + fp) if (tp + fp) > 0 else 1.0
+    recall = tp / n_pos
+    return precision, recall
 
 
 class TestLabelZeroVelocity:
@@ -203,7 +223,7 @@ class TestOptimizeGamma:
             assert ((curve.precision >= 0) & (curve.precision <= 1)).all()
             assert ((curve.f_beta >= 0) & (curve.f_beta <= 1)).all()
 
-    def test_matches_public_precision_recall_at_spot_gammas(self, walk_calibration):
+    def test_matches_reference_precision_recall_at_spot_gammas(self, walk_calibration):
         stream, truth = walk_calibration
         mocap = mocap_of(truth)
         cfg = FBetaConfig()

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zvnav.core import Quaternion, Se3Transform, quat_to_rotation, se3_compose
 from zvnav.survey import (
@@ -158,7 +162,12 @@ class TestFrameToFrame:
 
 
 def synthetic_survey(rng, n_markers=6, spacing=15.0):
-    """Marker poses along a line plus the per-pair surveyed transforms."""
+    """Marker poses along a line plus a two-pass survey of them.
+
+    Each station observes one adjacent pair from its own random pose; the
+    forward pass surveys the pairs (0, 1), (1, 2), ... with station ids
+    0, 1, ..., and the reverse pass surveys them again with ids 100, 101, ...
+    """
     template = tag_template()
     poses = [Se3Transform.identity()]
     for i in range(1, n_markers):
@@ -166,28 +175,29 @@ def synthetic_survey(rng, n_markers=6, spacing=15.0):
         R = quat_to_rotation(Quaternion.from_rotvec([0.0, 0.0, yaw]))
         poses.append(Se3Transform(R, np.array([spacing * i, rng.uniform(-1, 1), 0.0])))
 
-    def chain(station_seed_base):
-        out = []
+    def survey_pass(station_id_base):
+        stations = []
         for k in range(n_markers - 1):
             station = random_transform(rng, 5.0)
-            obs_i = MarkerObservation(k, station.apply(poses[k].apply(template)), station_seed_base + k)
-            obs_j = MarkerObservation(k + 1, station.apply(poses[k + 1].apply(template)), station_seed_base + k)
-            out.append(frame_to_frame(obs_i, obs_j, template))
-        return out
+            stations.append([MarkerObservation(j, station.apply(poses[j].apply(template)),
+                                               station_id_base + k) for j in (k, k + 1)])
+        return stations
 
-    return poses, chain(0), chain(100)
+    return poses, survey_pass(0) + survey_pass(100)
 
 
 class TestBuildMap:
     def test_single_identity_transform(self):
-        m = build_map([Se3Transform.identity()])
+        template = tag_template()
+        m = build_map([[MarkerObservation(0, template, 0), MarkerObservation(1, template, 0)]],
+                      template)
         assert np.allclose(m.positions, 0.0)
         assert m.loop_closure_m == 0.0
 
     def test_noiseless_six_marker_chain(self):
         rng = np.random.default_rng(10)
-        poses, forward, reverse = synthetic_survey(rng)
-        m = build_map(forward, reverse)
+        poses, stations = synthetic_survey(rng)
+        m = build_map(stations, tag_template())
         true_positions = np.array([p.translation for p in poses])
         assert m.marker_ids == tuple(range(len(poses)))
         assert np.max(np.abs(m.positions - true_positions)) < 1e-9
@@ -195,20 +205,14 @@ class TestBuildMap:
         assert m.path_length_m == pytest.approx(
             2 * np.linalg.norm(np.diff(true_positions, axis=0), axis=1).sum(), abs=1e-6)
 
-    def test_positions_independent_of_chain_chunking(self):
-        rng = np.random.default_rng(11)
-        _, forward, _ = synthetic_survey(rng, n_markers=4)
-        m_seq = build_map(forward)
-        collapsed = [se3_compose(forward[1], forward[0]), forward[2]]
-        # composing the first two transforms first must land marker 2 and 3
-        # in the same place
-        m_fold = build_map(collapsed)
-        assert np.max(np.abs(m_seq.positions[2] - m_fold.positions[1])) < 1e-12
-        assert np.max(np.abs(m_seq.positions[3] - m_fold.positions[2])) < 1e-12
-
     def test_reverse_chain_length_checked(self):
-        with pytest.raises(ValueError):
-            build_map([Se3Transform.identity()], [])
+        _, stations = synthetic_survey(np.random.default_rng(11), n_markers=4)
+        with pytest.raises(ValueError, match="reverse pass lacks"):
+            build_map(stations[:-1], tag_template())
+
+    def test_an_empty_survey_is_rejected(self):
+        with pytest.raises(ValueError, match="^the survey holds no stations$"):
+            build_map([], tag_template())
 
     def test_map_requires_marker_zero_at_origin(self):
         with pytest.raises(ValueError):
@@ -219,3 +223,50 @@ class TestBuildMap:
         assert np.array_equal(m.position_of(1), [2.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="^marker 7 is not in the marker map$"):
             m.position_of(7)
+
+
+N_PAIRS = 5
+FORWARD, REVERSE = slice(0, N_PAIRS), slice(N_PAIRS, 2 * N_PAIRS)
+
+
+@functools.cache
+def two_pass_survey():
+    """The six-marker two-pass survey and its map; shared, so copy before changing."""
+    _, stations = synthetic_survey(np.random.default_rng(13), n_markers=N_PAIRS + 1)
+    return stations, build_map(stations, tag_template())
+
+
+def pass_rule_error(stations) -> str:
+    with pytest.raises(ValueError) as info:
+        build_map(stations, tag_template())
+    return str(info.value)
+
+
+class TestPassRules:
+    """The survey rules through ``build_map``, on any order a file may hold."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.permutations(range(N_PAIRS)))
+    def test_forward_station_order_does_not_change_the_map(self, order):
+        stations, expected = two_pass_survey()
+        forward = stations[FORWARD]
+        m = build_map([forward[i] for i in order] + stations[REVERSE], tag_template())
+        assert np.array_equal(m.positions, expected.positions)
+        assert m.loop_closure_m == expected.loop_closure_m
+        assert m.path_length_m == expected.path_length_m
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.permutations(range(N_PAIRS)), st.integers(0, N_PAIRS - 1))
+    def test_dropping_a_reverse_station_names_its_pair(self, order, dropped):
+        stations, _ = two_pass_survey()
+        reverse = [stations[REVERSE][i] for i in order if i != dropped]
+        message = pass_rule_error(stations[FORWARD] + reverse)
+        assert message == f"the reverse pass lacks marker pair {(dropped, dropped + 1)}"
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 * N_PAIRS - 1), st.integers(0, 2 * N_PAIRS))
+    def test_a_third_copy_of_a_station_is_rejected(self, copied, at):
+        stations, _ = two_pass_survey()
+        pair = (copied % N_PAIRS, copied % N_PAIRS + 1)
+        message = pass_rule_error(stations[:at] + [stations[copied]] + stations[at:])
+        assert message == f"marker pair {pair} surveyed more than twice"

@@ -22,7 +22,6 @@ from zvnav.svm import (
     TrainingFailedError,
     build_windows,
     classify_stream,
-    confusion_matrix,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -33,7 +32,7 @@ from zvnav.svm import (
     train,
 )
 
-from conftest import RUN, WALK, mixed_segments, small_model_dict
+from conftest import RUN, WALK, confusion_matrix, mixed_segments, small_model_dict
 
 
 def lift(points):
