@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import io as zio
-from .core import read_json_object, write_json
+from .core import read_json_object, require_positive, write_json
 from .detector import AdaptiveParams, DetectorParams, detect
 from .ekf import EkfConfig, run_ins
 from .evaluate import (DEFAULT_MARKER_EVERY, adaptive_zupts, check_triggers,
@@ -79,6 +79,15 @@ def _configure(imu, config_path, **flags):
         raise ValueError(f"{config_path}: {exc}") from None
     given = {**cfg, **{key: v for key, v in flags.items() if v is not None}}
     return (zio.read_imu_csv(imu), *_settings(given), given)
+
+
+def _load_model(model_path, imu, stream):
+    """The SVM model file; a log shorter than the model's window fails naming the log."""
+    model = load_model(model_path)
+    if len(stream) < model.window_len:
+        raise ValueError(f"{imu}: {len(stream)} samples, fewer than the model's "
+                         f"window K={model.window_len}")
+    return model
 
 
 class _Group(click.Group):
@@ -205,10 +214,12 @@ def classify_train(trials, out, classes, trim, window_len, stride, kernel_width,
         if cls is None or (wanted is not None and cls not in wanted):
             continue
         stream = zio.read_imu_csv(f)
-        if trim > 0:
-            if len(stream) <= 2 * trim:
-                raise ValueError(f"{f.name}: too short for --trim {trim}")
-            stream = stream[trim:len(stream) - trim]
+        half = (len(stream) - 2 * trim) // 2
+        if half < max(window_len, 1):
+            short = f"{f.name}: too short for --trim {trim}"
+            raise ValueError(short if half < 1 else f"{short}: a half holds {half} samples, "
+                                                    f"fewer than --window-len {window_len}")
+        stream = stream[trim:len(stream) - trim]
         per_class.setdefault(cls, []).append(stream)
     if len(per_class) < 2:
         raise ValueError(f"{trials}: need trials from at least two classes")
@@ -245,8 +256,8 @@ def classify_train(trials, out, classes, trim, window_len, stride, kernel_width,
 @click.option("--out", required=True, type=click.Path())
 def classify_predict(imu, model_path, out):
     """Per-sample motion labels; writes a t,y_raw,y_smooth CSV."""
-    model = load_model(model_path)
     stream = zio.read_imu_csv(imu)
+    model = _load_model(model_path, imu, stream)
     labels = classify_stream(model, stream)
     zio.write_predict_csv(out, stream.t, labels.raw, labels.smoothed)
     click.echo(f"classified {len(stream)} samples with classes {list(model.classes)}")
@@ -336,6 +347,7 @@ def survey():
               help="Tag side length for the template, m.")
 def survey_map(observations, out, side):
     """Compound surveyed frame pairs into one marker map."""
+    require_positive({"--side": side})
     stations = zio.read_survey_json(observations)
     try:
         marker_map = build_map(stations, tag_template(side))
@@ -371,7 +383,7 @@ def ins_run(imu, gamma, adaptive, model_path, gamma_walk, gamma_run, config, out
     if adaptive:
         if model_path is None or gamma_walk is None or gamma_run is None:
             raise click.UsageError("--adaptive needs --model, --gamma-walk and --gamma-run")
-        _, flags = adaptive_zupts(stream, load_model(model_path), detector,
+        _, flags = adaptive_zupts(stream, _load_model(model_path, imu, stream), detector,
                                   AdaptiveParams(gamma_walk, gamma_run))
     else:
         if "gamma" not in given:
@@ -420,7 +432,7 @@ def _read_gammas(path) -> AdaptiveParams:
 def eval_trial(imu, model_path, gammas, triggers, markers, truth_path, config, report):
     """Score fixed-walk, fixed-run and adaptive thresholding on one trial."""
     stream, detector, ekf_cfg, _ = _configure(imu, config)
-    model = load_model(model_path)
+    model = _load_model(model_path, imu, stream)
     adaptive = _read_gammas(gammas)
     trigger_log = zio.read_trigger_csv(triggers)
     marker_map = zio.read_marker_map_json(markers)

@@ -126,65 +126,52 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, kernel_width: float) -> np.ndarray:
     return sq
 
 
-def _smo(K, y, C, tol, max_iter):
-    """Maximal-violating-pair SMO on a precomputed kernel matrix.
+def _smo(K, y, C, max_iter):
+    """Maximal-violating-pair SMO (Keerthi et al. 2001) on a precomputed kernel matrix.
 
-    Maximizes sum(alpha) - 0.5 aQa with 0 <= alpha <= C and sum(alpha*y) = 0.
-    Returns raw alphas, the bias, the final KKT violation and the iteration
-    count. grad tracks d/dalpha of the dual objective (starts at 1). The
-    loop exits only at its head or before it changes alpha, so the final
-    masks and y*grad also give the bias.
+    Maximizes sum(alpha) - 0.5 aQa with 0 <= alpha <= C and sum(alpha*y) = 0
+    to KKT violation ``KKT_TOLERANCE``; returns raw alphas, the bias, the final
+    violation and the iteration count. The one state besides alpha is yg, y
+    times the dual gradient: it starts at y, and as y = +-1 a step adds
+    lam * (K[j] - K[i]). An empty working set makes the violation -inf. The
+    loop exits only at its head or before it changes alpha, so the final masks
+    and yg give the bias.
     """
-    n = y.shape[0]
-    alpha = np.zeros(n)
-    grad = np.ones(n)
+    alpha = np.zeros(y.shape[0])
+    yg = y.astype(np.float64)
+    pos = y > 0.0
     it = 0
     while True:
-        yg = y * grad
-        up = ((y > 0.0) & (alpha < C)) | ((y < 0.0) & (alpha > 0.0))
-        lo = ((y > 0.0) & (alpha > 0.0)) | ((y < 0.0) & (alpha < C))
-        if it >= max_iter or not up.any() or not lo.any():
+        below_c, above_0 = alpha < C, alpha > 0.0
+        up = np.where(pos, below_c, above_0)
+        lo = np.where(pos, above_0, below_c)
+        if it >= max_iter:
             break
         up_vals = np.where(up, yg, -np.inf)
         lo_vals = np.where(lo, yg, np.inf)
         i = int(np.argmax(up_vals))
         j = int(np.argmin(lo_vals))
         viol = up_vals[i] - lo_vals[j]
-        if viol <= tol:
+        if viol <= KKT_TOLERANCE:
             break
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if eta < 1e-12:
-            eta = 1e-12
-        lam = viol / eta
-        cap_i = C - alpha[i] if y[i] > 0.0 else alpha[i]
-        cap_j = alpha[j] if y[j] > 0.0 else C - alpha[j]
-        if cap_i < lam:
-            lam = cap_i
-        if cap_j < lam:
-            lam = cap_j
+        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        lam = min(viol / eta, C - alpha[i] if pos[i] else alpha[i],
+                  alpha[j] if pos[j] else C - alpha[j])
         if lam <= 0.0:
             break
-        grad += lam * y * (K[j] - K[i])
+        yg += lam * (K[j] - K[i])
         alpha[i] += y[i] * lam
         alpha[j] -= y[j] * lam
         it += 1
 
-    # bias from the final violating-pair criteria; also the KKT residual
+    # bias from the final violating-pair criteria, and the KKT residual; an
+    # empty side leaves the other side's value, or 0 when both are empty
     bmax = np.max(yg, where=up, initial=-np.inf)
     bmin = np.min(yg, where=lo, initial=np.inf)
-    if np.isinf(bmax) and np.isinf(bmin):
-        bias = 0.0
-        resid = 0.0
-    elif np.isinf(bmax):
-        bias = bmin
-        resid = 0.0
-    elif np.isinf(bmin):
-        bias = bmax
-        resid = 0.0
-    else:
-        bias = 0.5 * (bmax + bmin)
-        resid = bmax - bmin
-    return alpha, bias, resid, it
+    sides = [b for b in (bmax, bmin) if np.isfinite(b)]
+    if len(sides) == 2:
+        return alpha, 0.5 * (bmax + bmin), bmax - bmin, it
+    return alpha, sides[0] if sides else 0.0, 0.0, it
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +266,7 @@ def train(windows: np.ndarray, labels, kernel_width: float | None = None,
                 f"classes {a}/{b}: all training vectors identical across labels"
             )
         Kmat = rbf_kernel(Xp, Xp, kernel_width)
-        alpha, bias, resid, _ = _smo(Kmat, yp, float(c_reg), KKT_TOLERANCE, max_iter)
+        alpha, bias, resid, _ = _smo(Kmat, yp, float(c_reg), max_iter)
         if resid > KKT_TOLERANCE:
             raise TrainingFailedError(
                 f"classes {a}/{b}: solver stalled with KKT violation {resid:.3g}"
@@ -289,7 +276,7 @@ def train(windows: np.ndarray, labels, kernel_width: float | None = None,
             raise TrainingFailedError(f"classes {a}/{b}: no support vectors found")
         pairs.append(PairClassifier(
             class_a=a, class_b=b,
-            support_vectors=Xp[sv].copy(),
+            support_vectors=Xp[sv].copy(),  # lowers peak RSS: see ROADMAP dead ends
             alphas=(alpha * yp)[sv],
             bias=float(bias),
             kkt_residual=float(resid),

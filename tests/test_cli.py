@@ -269,8 +269,10 @@ class TestClassify:
 
     @pytest.mark.parametrize("args, message", [
         (["--trim", "1250"], "run_a.csv: too short for --trim 1250"),
+        (["--trim", "1200"], "run_a.csv: too short for --trim 1200: a half holds 50 samples, "
+                             "fewer than --window-len 125"),
         (["--classes", "0"], "{trials}: need trials from at least two classes"),
-    ], ids=["too-short-for-trim", "one-class"])
+    ], ids=["too-short-for-trim", "halves-shorter-than-window", "one-class"])
     def test_train_data_error_is_a_one_line_error(self, workdir, tmp_path, args, message):
         trials = workdir / "trials"
         line = cli_error(["classify", "train", "--trials", str(trials),
@@ -310,7 +312,23 @@ MODEL_DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("command", ["classify predict", "ins run", "eval trial"])
+def model_command(workdir, command, imu, model, out):
+    """The arguments of a command that runs a model file on an IMU log."""
+    imu, model, out = str(imu), str(model), str(out)
+    return {
+        "classify predict": ["classify", "predict", "--imu", imu, "--out", out],
+        "ins run": ["ins", "run", "--imu", imu, "--adaptive", "--gamma-walk", "340000",
+                    "--gamma-run", "6900000", "--out", out],
+        "eval trial": ["eval", "trial", "--imu", imu, "--gammas", str(workdir / "gammas.json"),
+                       "--triggers", str(workdir / "triggers.csv"),
+                       "--markers", str(workdir / "markers.json"), "--report", out],
+    }[command] + ["--model", model]
+
+
+MODEL_COMMANDS = ["classify predict", "ins run", "eval trial"]
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS)
 @pytest.mark.parametrize("damage", list(MODEL_DAMAGE))
 def test_a_damaged_model_file_is_a_one_line_error_naming_it(workdir, tmp_path, command, damage):
     fields, message = MODEL_DAMAGE[damage]
@@ -319,16 +337,18 @@ def test_a_damaged_model_file_is_a_one_line_error_naming_it(workdir, tmp_path, c
     target.update(fields)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(data))
-    imu, out = str(workdir / "mixed.csv"), str(tmp_path / "out")
-    args = {
-        "classify predict": ["classify", "predict", "--imu", imu, "--out", out],
-        "ins run": ["ins", "run", "--imu", imu, "--adaptive", "--gamma-walk", "340000",
-                    "--gamma-run", "6900000", "--out", out],
-        "eval trial": ["eval", "trial", "--imu", imu, "--gammas", str(workdir / "gammas.json"),
-                       "--triggers", str(workdir / "triggers.csv"),
-                       "--markers", str(workdir / "markers.json"), "--report", out],
-    }[command]
-    assert cli_error(args + ["--model", str(model)]) == f"Error: {model}: {message}"
+    args = model_command(workdir, command, workdir / "mixed.csv", model, tmp_path / "out")
+    assert cli_error(args) == f"Error: {model}: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS)
+def test_a_log_shorter_than_the_model_window_is_a_one_line_error_naming_it(workdir, tmp_path,
+                                                                          command):
+    imu = tmp_path / "short.csv"
+    zio.write_imu_csv(imu, zio.read_imu_csv(workdir / "mixed.csv")[:100])
+    args = model_command(workdir, command, imu, workdir / "model.json", tmp_path / "out")
+    assert cli_error(args) == f"Error: {imu}: 100 samples, fewer than the model's window K=125"
     assert not (tmp_path / "out").exists()
 
 
@@ -382,6 +402,16 @@ class TestSurvey:
         path, _ = survey_json
         out = tmp_path / "map.json"
         rerun_identical(["survey", "map", "--observations", str(path), "--out", str(out)], [out])
+
+    @pytest.mark.parametrize("side", ["0", "-0.28", "nan", "inf"])
+    def test_a_side_that_is_not_positive_and_finite_is_a_one_line_error(self, survey_json,
+                                                                       tmp_path, side):
+        path, _ = survey_json
+        out = tmp_path / "map.json"
+        line = cli_error(["survey", "map", "--observations", str(path), "--out", str(out),
+                          "--side", side])
+        assert line == "Error: --side must be positive and finite"
+        assert not out.exists()
 
     def test_observations_without_their_key(self, workdir, tmp_path):
         # a marker map handed over in place of a survey

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from zvnav.core import ImuStream
 from zvnav.simulate import NoiseModel, simulate
 from zvnav.svm import (
+    KKT_TOLERANCE,
     NormStats,
     PairClassifier,
     SvmModel,
@@ -30,6 +31,7 @@ from zvnav.svm import (
     save_model,
     smooth,
     train,
+    _smo,
 )
 
 from conftest import RUN, WALK, confusion_matrix, mixed_segments, small_model_dict
@@ -236,6 +238,103 @@ class TestTrain:
     def test_dimension_must_match_window_len(self):
         with pytest.raises(ValueError, match="cannot infer window_len from a non-6K dimension"):
             train(np.zeros((4, 5)), np.array([0, 0, 1, 1]))
+
+
+def smo_reference(K, y, C, tol, max_iter):
+    """The solver as first written, kept to pin ``_smo``'s results bit for bit.
+
+    It tracks the dual gradient and rebuilds y*grad and both working sets
+    from the labels' signs on every pass.
+    """
+    n = y.shape[0]
+    alpha = np.zeros(n)
+    grad = np.ones(n)
+    it = 0
+    while True:
+        yg = y * grad
+        up = ((y > 0.0) & (alpha < C)) | ((y < 0.0) & (alpha > 0.0))
+        lo = ((y > 0.0) & (alpha > 0.0)) | ((y < 0.0) & (alpha < C))
+        if it >= max_iter or not up.any() or not lo.any():
+            break
+        up_vals = np.where(up, yg, -np.inf)
+        lo_vals = np.where(lo, yg, np.inf)
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(lo_vals))
+        viol = up_vals[i] - lo_vals[j]
+        if viol <= tol:
+            break
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if eta < 1e-12:
+            eta = 1e-12
+        lam = viol / eta
+        cap_i = C - alpha[i] if y[i] > 0.0 else alpha[i]
+        cap_j = alpha[j] if y[j] > 0.0 else C - alpha[j]
+        if cap_i < lam:
+            lam = cap_i
+        if cap_j < lam:
+            lam = cap_j
+        if lam <= 0.0:
+            break
+        grad += lam * y * (K[j] - K[i])
+        alpha[i] += y[i] * lam
+        alpha[j] -= y[j] * lam
+        it += 1
+
+    bmax = np.max(yg, where=up, initial=-np.inf)
+    bmin = np.min(yg, where=lo, initial=np.inf)
+    if np.isinf(bmax) and np.isinf(bmin):
+        bias = 0.0
+        resid = 0.0
+    elif np.isinf(bmax):
+        bias = bmin
+        resid = 0.0
+    elif np.isinf(bmin):
+        bias = bmax
+        resid = 0.0
+    else:
+        bias = 0.5 * (bmax + bmin)
+        resid = bmax - bmin
+    return alpha, bias, resid, it
+
+
+# below KKT_TOLERANCE / 2, the smallest unclipped step (eta <= 2), so every
+# step is clipped and every alpha ends at 0 or C
+TINY_C = 1e-4
+
+
+class TestSolver:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30), d=st.integers(1, 3),
+           kernel_width=st.floats(0.05, 20.0),
+           c_reg=st.sampled_from([TINY_C]) | st.floats(0.01, 100.0),
+           max_iter=st.sampled_from([100_000]) | st.integers(0, 40))
+    @example(data=None, n=12, d=2, kernel_width=1.0, c_reg=TINY_C, max_iter=100_000)
+    # two points whose kernel value underflows: one step zeroes y*grad exactly
+    @example(data=None, n=2, d=1, kernel_width=20.0, c_reg=2.0, max_iter=100_000)
+    def test_matches_the_reference_solver_bit_for_bit(self, data, n, d, kernel_width, c_reg,
+                                                       max_iter):
+        """Alphas and iteration count match bit for bit; bias and residual match in value.
+
+        Where y*grad is exactly zero, the reference may hold -0.0 where ``_smo``
+        holds +0.0, so a zero bias or residual can differ in its sign only.
+        """
+        if data is None:
+            rng = np.random.default_rng(5)
+            x = np.array([[0.0], [10.0]]) if n == 2 else rng.normal(size=(n, d))
+            y = np.repeat([1.0, -1.0], n // 2)
+        else:
+            # a coarse grid, so points repeat and kernel rows tie
+            x = data.draw(arrays(np.float64, (n, d), elements=st.integers(-6, 6).map(lambda v: v / 2)))
+            y = np.where(data.draw(arrays(np.bool_, n)), 1.0, -1.0)
+        K = rbf_kernel(x, x, kernel_width)
+        alpha, bias, resid, it = _smo(K, y, c_reg, max_iter)
+        ref_alpha, ref_bias, ref_resid, ref_it = smo_reference(K, y, c_reg, KKT_TOLERANCE,
+                                                               max_iter)
+        assert alpha.tobytes() == ref_alpha.tobytes()
+        assert (bias, resid) == (ref_bias, ref_resid)
+        assert it == ref_it
+        if c_reg == TINY_C:
+            assert np.all((alpha == 0.0) | (alpha == c_reg))
 
 
 class TestPredict:
