@@ -91,12 +91,12 @@ def _load_model(model_path, imu, stream):
 
 
 class _Group(click.Group):
-    """Reports bad input data, and a sweep or fit that found no solution, as one-line errors."""
+    """Reports bad input data, a file it cannot open and a failed sweep or fit as one line."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, OptimizationFailedError, TrainingFailedError) as exc:
+        except (ValueError, OSError, OptimizationFailedError, TrainingFailedError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -199,8 +199,9 @@ def classify():
               help="Comma-separated class ids to train on, e.g. '0,2'.")
 @click.option("--trim", type=click.IntRange(min=0), default=1000, show_default=True,
               help="Samples dropped from each end of every trial.")
-@click.option("--window-len", type=int, default=DEFAULT_WINDOW_LEN, show_default=True)
-@click.option("--stride", type=int, default=15, show_default=True)
+@click.option("--window-len", type=click.IntRange(min=1), default=DEFAULT_WINDOW_LEN,
+              show_default=True)
+@click.option("--stride", type=click.IntRange(min=1), default=15, show_default=True)
 @click.option("--kernel-width", type=float, default=None,
               help="RBF width; defaults to 1/(6*window-len).")
 @click.option("--c-reg", type=float, default=DEFAULT_C_REG, show_default=True)
@@ -215,7 +216,7 @@ def classify_train(trials, out, classes, trim, window_len, stride, kernel_width,
             continue
         stream = zio.read_imu_csv(f)
         half = (len(stream) - 2 * trim) // 2
-        if half < max(window_len, 1):
+        if half < window_len:
             short = f"{f.name}: too short for --trim {trim}"
             raise ValueError(short if half < 1 else f"{short}: a half holds {half} samples, "
                                                     f"fewer than --window-len {window_len}")
@@ -308,7 +309,8 @@ def sim():
               help="Write a synthetic surveyed marker map JSON.")
 @click.option("--triggers-out", type=click.Path(), default=None,
               help="Write synthetic trigger timestamps (t,marker_id CSV).")
-@click.option("--marker-every", type=int, default=DEFAULT_MARKER_EVERY, show_default=True,
+@click.option("--marker-every", type=click.IntRange(min=1), default=DEFAULT_MARKER_EVERY,
+              show_default=True,
               help="Strides between synthetic markers.")
 def sim_gait(motion, duration, segments, seed, rate, accel_noise, gyro_noise,
              out, truth_out, mocap_out, markers_out, triggers_out, marker_every):

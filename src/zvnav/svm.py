@@ -31,6 +31,7 @@ DEFAULT_SMOOTH_WINDOW = 15
 DEFAULT_SMOOTH_THRESHOLD = 0.2
 KKT_TOLERANCE = 1e-3
 CHUNK_WINDOWS = 2048
+DECISION_STRIDE = 5
 _KERNEL_BLOCK = 256
 
 
@@ -194,6 +195,7 @@ class PairClassifier:
     alphas: np.ndarray
     bias: float
     kkt_residual: float = 0.0
+    iterations: int = 0
 
     def decision(self, x: np.ndarray, kernel_width: float) -> np.ndarray:
         k = rbf_kernel(np.atleast_2d(x), self.support_vectors, kernel_width)
@@ -266,7 +268,7 @@ def train(windows: np.ndarray, labels, kernel_width: float | None = None,
                 f"classes {a}/{b}: all training vectors identical across labels"
             )
         Kmat = rbf_kernel(Xp, Xp, kernel_width)
-        alpha, bias, resid, _ = _smo(Kmat, yp, float(c_reg), max_iter)
+        alpha, bias, resid, iters = _smo(Kmat, yp, float(c_reg), max_iter)
         if resid > KKT_TOLERANCE:
             raise TrainingFailedError(
                 f"classes {a}/{b}: solver stalled with KKT violation {resid:.3g}"
@@ -280,6 +282,7 @@ def train(windows: np.ndarray, labels, kernel_width: float | None = None,
             alphas=(alpha * yp)[sv],
             bias=float(bias),
             kkt_residual=float(resid),
+            iterations=iters,
         ))
 
     model = SvmModel(
@@ -364,31 +367,30 @@ class LabelStream:
 
 
 def classify_stream(model: SvmModel, stream: ImuStream) -> LabelStream:
-    """Per-sample labels for a stream, windows aligned to their last sample.
+    """Per-sample labels for a stream, decided every ``DECISION_STRIDE`` samples.
 
-    Each sample from index K-1 on receives the label of the window ending at
-    it (one decision per sample, imposing a one-window lag behind the true
-    motion); earlier samples inherit the first decision. For binary models
-    the smoothed sequence is the labels mean-filtered with
-    ``DEFAULT_SMOOTH_WINDOW`` and ``DEFAULT_SMOOTH_THRESHOLD``; for more
-    classes it is None.
+    Only the windows ending at samples K-1, K-1+s, K-1+2s, ... are scored,
+    s = ``DECISION_STRIDE``. Each sample from index K-1 on holds the label of
+    the latest decided window ending at or before it; earlier samples inherit
+    the first decision. For binary models the smoothed sequence is the labels
+    mean-filtered with ``DEFAULT_SMOOTH_WINDOW`` and
+    ``DEFAULT_SMOOTH_THRESHOLD``; for more classes it is None.
 
-    Windows are built and scored ``CHUNK_WINDOWS`` at a time, consecutive
-    chunks sharing K-1 samples, so memory is bounded by one chunk of windows
-    and its kernel rows, not by the stream length. The pipeline's inherent
-    latency is K-1 samples of window lag plus the ``DEFAULT_SMOOTH_WINDOW``-sample
-    look-ahead of the smoother.
+    Decided windows are built and scored ``CHUNK_WINDOWS`` at a time, each
+    chunk starting on a multiple of s, so memory is bounded by one chunk of
+    windows and its kernel rows, not by the stream length. The pipeline's
+    inherent latency is K-1 samples of window lag, up to s-1 samples of hold
+    and the ``DEFAULT_SMOOTH_WINDOW``-sample look-ahead of the smoother.
     """
-    k = model.window_len
-    chunk = CHUNK_WINDOWS
+    k, s = model.window_len, DECISION_STRIDE
+    span = CHUNK_WINDOWS * s
     # a stream shorter than K still makes one call, so build_windows rejects it
-    window_labels = np.concatenate([
-        predict_batch(model, build_windows(stream[s:s + chunk + k - 1], k, stride=1,
+    decided = np.concatenate([
+        predict_batch(model, build_windows(stream[a:a + span - s + k], k, stride=s,
                                            norm=model.norm_stats))
-        for s in range(0, max(len(stream) - k + 1, 1), chunk)
+        for a in range(0, max(len(stream) - k + 1, 1), span)
     ])
-    lead = np.full(k - 1, window_labels[0], dtype=np.int64)
-    raw = np.concatenate([lead, window_labels])
+    raw = decided[np.maximum(np.arange(len(stream)) - (k - 1), 0) // s]
 
     smoothed = None
     if len(model.classes) == 2:

@@ -47,6 +47,13 @@ def cli_error(args) -> str:
     return lines[0]
 
 
+def usage_error(args) -> str:
+    """Run a command that click rejects before it runs; return its last line, the error."""
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    return result.output.strip().splitlines()[-1]
+
+
 def rerun_identical(args, outputs):
     """Run a command twice and require byte-identical output files."""
     first = {}
@@ -128,6 +135,15 @@ class TestSimGait:
         line = cli_error(["sim", "gait", *args, "--out", str(out),
                           "--truth", str(tmp_path / "truth.csv")])
         assert line == f"Error: {message}"
+        assert not out.exists()
+
+    def test_marker_every_below_one_is_a_usage_error_naming_it(self, tmp_path):
+        out = tmp_path / "imu.csv"
+        line = usage_error(["sim", "gait", "--duration", "5", "--out", str(out),
+                            "--truth", str(tmp_path / "truth.csv"),
+                            "--markers-out", str(tmp_path / "markers.json"),
+                            "--marker-every", "0"])
+        assert line == "Error: Invalid value for '--marker-every': 0 is not in the range x>=1."
         assert not out.exists()
 
 
@@ -248,17 +264,22 @@ class TestClassify:
                          "--out", str(out), "--trim", "100", "--stride", "10"], [out])
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--window-len", "0", "window_len must be at least 1"),
+        ("--window-len", "0", "Invalid value for '--window-len': 0 is not in the range x>=1."),
+        ("--stride", "0", "Invalid value for '--stride': 0 is not in the range x>=1."),
         ("--kernel-width", "0", "kernel_width must be positive and finite"),
         ("--kernel-width", "-1", "kernel_width must be positive and finite"),
         ("--c-reg", "inf", "c_reg must be positive and finite"),
         ("--classes", "0,a", "--classes: 'a' is not an integer class id"),
-    ], ids=["window-len-0", "kernel-width-0", "kernel-width-negative", "c-reg-inf", "classes-a"])
+    ], ids=["window-len-0", "stride-0", "kernel-width-0", "kernel-width-negative", "c-reg-inf",
+            "classes-a"])
     def test_train_rejects_flag_out_of_range(self, workdir, tmp_path, flag, value, message):
-        line = cli_error(["classify", "train", "--trials", str(workdir / "trials"),
-                          "--out", str(tmp_path / "model.json"), "--trim", "100",
-                          "--stride", "10", flag, value])
+        # an integer below its range is click's usage error, which names the option
+        args = ["classify", "train", "--trials", str(workdir / "trials"),
+                "--out", str(tmp_path / "model.json"), "--trim", "100", "--stride", "10",
+                flag, value]
+        line = usage_error(args) if message.startswith("Invalid value") else cli_error(args)
         assert line == f"Error: {message}"
+        assert not (tmp_path / "model.json").exists()
 
     def test_train_rejects_negative_trim(self, workdir, tmp_path):
         result = CliRunner().invoke(main, ["classify", "train", "--trials", str(workdir / "trials"),
@@ -692,6 +713,19 @@ def test_a_cli_default_is_its_library_default(command, option, library_default):
     group, name = command.split()
     (param,) = [p for p in main.commands[group].commands[name].params if option in p.opts]
     assert param.default == library_default
+
+
+@pytest.mark.parametrize("out_kind", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["sim gait", "classify predict"])
+def test_an_output_path_that_cannot_be_written_is_a_one_line_error(workdir, tmp_path,
+                                                                   command, out_kind):
+    out = tmp_path / "nodir" / "out.csv" if out_kind == "missing-directory" else tmp_path
+    args = {"sim gait": ["--motion", "walk", "--duration", "5",
+                         "--truth", str(tmp_path / "truth.csv")],
+            "classify predict": ["--imu", str(workdir / "walk.csv"),
+                                 "--model", str(workdir / "model.json")]}[command]
+    line = cli_error([*command.split(), *args, "--out", str(out)])
+    assert line.startswith("Error: [Errno ") and line.endswith(f": '{out}'")
 
 
 def test_module_entry_point():

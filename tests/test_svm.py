@@ -13,10 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from zvnav import svm
 from zvnav.core import ImuStream
 from zvnav.simulate import NoiseModel, simulate
 from zvnav.svm import (
+    DECISION_STRIDE,
     KKT_TOLERANCE,
+    LabelStream,
     NormStats,
     PairClassifier,
     SvmModel,
@@ -336,6 +339,14 @@ class TestSolver:
         if c_reg == TINY_C:
             assert np.all((alpha == 0.0) | (alpha == c_reg))
 
+    def test_train_keeps_the_iteration_count(self, walk_calibration, three_class_model):
+        x, y = three_class_data(walk_calibration)
+        model = three_class_model
+        xp, yp = x[y < 2], np.where(y[y < 2] == 0, 1.0, -1.0)  # pair 0/1, 54 windows
+        K = rbf_kernel(xp, xp, model.kernel_width)
+        ref_it = smo_reference(K, yp, model.c_reg, KKT_TOLERANCE, 100_000)[3]
+        assert ref_it > 0 and model.pairs[0].iterations == ref_it
+
 
 class TestPredict:
     def test_support_vector_keeps_its_label(self):
@@ -526,20 +537,49 @@ class TestClassifyStream:
         pair = binary_model.pairs[0]
         bias_label = pair.class_a if pair.bias >= 0.0 else pair.class_b
         k = binary_model.window_len
-        # the windows ending at samples 500 .. 502 + K - 1 hold a burst sample
-        hit = np.zeros(len(stream), dtype=bool)
-        hit[500:502 + k] = True
+        # a sample is hit when the decided window it holds, one starting at a
+        # multiple of DECISION_STRIDE, starts at 500 - K + 1 .. 502
+        held = np.maximum(np.arange(len(stream)) - k + 1, 0) // DECISION_STRIDE
+        hit = (held * DECISION_STRIDE >= 500 - k + 1) & (held * DECISION_STRIDE <= 502)
         assert np.all(burst.raw[hit] == bias_label)
         assert np.array_equal(burst.raw[~hit], clean.raw[~hit])
 
 
-@pytest.fixture(scope="module")
-def three_class_model(walk_calibration):
-    # K=8 windows of one stream in three arbitrary label blocks: a cheap
-    # model whose votes exercise the multiclass path
+def three_class_data(walk_calibration):
+    """K=8 windows of one stream in three arbitrary label blocks."""
     stream, _ = walk_calibration
     x = build_windows(stream[:3200], 8, stride=40)
-    return train(x, np.repeat([0, 1, 2], 27)[:x.shape[0]])
+    return x, np.repeat([0, 1, 2], 27)[:x.shape[0]]
+
+
+@pytest.fixture(scope="module")
+def three_class_model(walk_calibration):
+    # a cheap model whose votes exercise the multiclass path
+    return train(*three_class_data(walk_calibration))
+
+
+def classify_stream_reference(model, stream):
+    """``classify_stream`` as it was at decision stride 1, kept to pin the stride.
+
+    It scores every window, ``CHUNK_WINDOWS`` at a time with consecutive
+    chunks sharing K-1 samples; each sample from K-1 on takes the label of the
+    window ending at it, and earlier samples take the first decision.
+    """
+    k = model.window_len
+    chunk = svm.CHUNK_WINDOWS
+    window_labels = np.concatenate([
+        predict_batch(model, build_windows(stream[s:s + chunk + k - 1], k, stride=1,
+                                           norm=model.norm_stats))
+        for s in range(0, max(len(stream) - k + 1, 1), chunk)
+    ])
+    lead = np.full(k - 1, window_labels[0], dtype=np.int64)
+    raw = np.concatenate([lead, window_labels])
+
+    smoothed = None
+    if len(model.classes) == 2:
+        sm = smooth((raw == model.classes[1]).astype(np.int64))
+        smoothed = np.asarray(model.classes, dtype=np.int64)[sm]
+    return LabelStream(raw, smoothed)
 
 
 @st.composite
@@ -548,6 +588,18 @@ def chunked_lengths(draw):
     chunk = draw(st.integers(1, 9))
     n_windows = max(1, chunk * draw(st.integers(1, 4)) + draw(st.sampled_from([-1, 0, 1])))
     return chunk, n_windows
+
+
+@st.composite
+def strided_lengths(draw):
+    """A decision stride, a chunk size of 1-9 and a stride-1 window count that
+    falls on, next to or anywhere between chunk boundaries."""
+    stride = draw(st.sampled_from([DECISION_STRIDE, 1, 2, 3, 10]))
+    chunk = draw(st.integers(1, 9))
+    span = chunk * stride
+    n_windows = max(1, span * draw(st.integers(0, 3))
+                    + draw(st.sampled_from([-1, 0, 1]) | st.integers(0, span)))
+    return stride, chunk, n_windows
 
 
 class TestChunkedClassification:
@@ -561,12 +613,15 @@ class TestChunkedClassification:
         chunk, n_windows = case
         stream, _ = walk_calibration
         part = stream[start:start + n_windows + model.window_len - 1]
-        whole = predict_batch(model, build_windows(part, model.window_len, stride=1,
+        whole = predict_batch(model, build_windows(part, model.window_len,
+                                                   stride=DECISION_STRIDE,
                                                    norm=model.norm_stats))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("zvnav.svm.CHUNK_WINDOWS", chunk)
             labels = classify_stream(model, part)
-        expect = np.concatenate([np.full(model.window_len - 1, whole[0]), whole])
+        # each decision is held for DECISION_STRIDE samples
+        held = np.repeat(whole, DECISION_STRIDE)[:n_windows]
+        expect = np.concatenate([np.full(model.window_len - 1, whole[0]), held])
         assert np.array_equal(labels.raw, expect)
         if len(model.classes) == 2:
             binary = (expect == model.classes[1]).astype(np.int64)
@@ -574,10 +629,49 @@ class TestChunkedClassification:
         else:
             assert labels.smoothed is None
 
+    @pytest.mark.parametrize("model_name", ["binary_model", "three_class_model"])
+    @settings(max_examples=40, deadline=None)
+    @given(case=strided_lengths(), start=st.integers(0, 4000))
+    @example(case=(DECISION_STRIDE, 2, 1), start=0)  # n == K
+    @example(case=(DECISION_STRIDE, 2, 2), start=0)  # n == K + 1
+    def test_held_labels_match_the_stride_1_reference(self, request, walk_calibration,
+                                                      model_name, case, start):
+        """Decided samples keep the reference's label; each is held for at most s samples.
+
+        Decision stride 1 reproduces the reference exactly, raw and smoothed.
+        """
+        model = request.getfixturevalue(model_name)
+        stride, chunk, n_windows = case
+        k = model.window_len
+        stream, _ = walk_calibration
+        part = stream[start:start + n_windows + k - 1]
+        ref = classify_stream_reference(model, part)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("zvnav.svm.CHUNK_WINDOWS", chunk)
+            mp.setattr("zvnav.svm.DECISION_STRIDE", stride)
+            labels = classify_stream(model, part)
+            mp.setattr("zvnav.svm.DECISION_STRIDE", 1)
+            every = classify_stream(model, part)
+
+        decided = np.arange(k - 1, len(part), stride)
+        assert np.array_equal(labels.raw[decided], ref.raw[decided])
+        # samples before K-1 take the first decision; later ones hold the
+        # latest decided sample at or before them, at most stride - 1 back
+        held_from = np.maximum(decided.searchsorted(np.arange(len(part)), "right") - 1, 0)
+        assert np.all(np.arange(len(part))[k - 1:] - decided[held_from[k - 1:]] < stride)
+        assert np.array_equal(labels.raw, labels.raw[decided][held_from])
+
+        assert np.array_equal(every.raw, ref.raw)
+        if ref.smoothed is None:
+            assert every.smoothed is None and labels.smoothed is None
+        else:
+            assert np.array_equal(every.smoothed, ref.smoothed)
+
     def test_peak_memory_is_bounded_by_the_chunk(self, binary_model):
-        # one 59 s mixed trial, 7,375 samples; classifying it as one batch
-        # peaks near 150 MB (43.5 MB of windows plus the kernel rows of
-        # ~600 support vectors), one chunk of 2,048 windows at 23.6 MB
+        # one 59 s mixed trial, 7,375 samples; classifying its stride-1
+        # windows as one batch peaks near 150 MB (43.5 MB of windows plus the
+        # kernel rows of ~600 support vectors), one chunk of 2,048 windows at
+        # 23.6 MB; its 1,451 decided windows at stride 5 peak at 17.1 MB
         stream, _ = simulate(mixed_segments(), NoiseModel(seed=43))
         tracemalloc.start()
         try:
