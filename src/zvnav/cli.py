@@ -11,7 +11,9 @@ solution, end a command with a one-line error rather than a traceback.
 """
 from __future__ import annotations
 
+import errno
 import math
+import os
 from pathlib import Path
 
 import click
@@ -88,6 +90,15 @@ def _load_model(model_path, imu, stream):
         raise ValueError(f"{imu}: {len(stream)} samples, fewer than the model's "
                          f"window K={model.window_len}")
     return model
+
+
+def _check_output(path) -> None:
+    """Fail as opening ``path`` to write would if it is a directory or its directory is missing."""
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
 
 
 class _Group(click.Group):
@@ -318,16 +329,20 @@ def sim_gait(motion, duration, segments, seed, rate, accel_noise, gyro_noise,
     noise = NoiseModel(accel_noise_std=accel_noise, gyro_noise_std=gyro_noise, seed=seed)
     plan = _parse_segments(segments) if segments else [(gait_preset(motion), duration)]
     stream, truth = simulate(plan, noise, rate)
-    zio.write_imu_csv(out, stream)
-    zio.write_truth_csv(truth_out, truth)
-    if mocap_out:
-        zio.write_mocap_csv(mocap_out, MocapStream(truth.t, truth.pos, rate))
+    marker_map = triggers = None
     if markers_out or triggers_out:
         marker_map, triggers = marker_layout_from_truth(truth, marker_every)
-        if markers_out:
-            zio.write_marker_map_json(markers_out, marker_map)
-        if triggers_out:
-            zio.write_trigger_csv(triggers_out, triggers)
+    writes = [(path, write, data) for path, write, data in [
+        (out, zio.write_imu_csv, stream),
+        (truth_out, zio.write_truth_csv, truth),
+        (mocap_out, zio.write_mocap_csv, MocapStream(truth.t, truth.pos, rate)),
+        (markers_out, zio.write_marker_map_json, marker_map),
+        (triggers_out, zio.write_trigger_csv, triggers),
+    ] if path]
+    for path, _, _ in writes:
+        _check_output(path)
+    for path, write, data in writes:
+        write(path, data)
     click.echo(f"simulated {len(stream)} samples "
                f"({truth.path_length():.1f} m path, seed {seed})")
 

@@ -26,11 +26,15 @@ products R @ accel, F @ P @ F.T, P[:, 3:6] @ inv(S), K @ (-v),
 IKH @ P @ IKH.T and K @ K.T, with the operands, shapes and layouts that new
 arrays would have. Those stay BLAS products, because a hand-written sum
 rounds differently in the last bits. ``run_ins`` is pure, so independent
-passes can run in parallel: ``evaluate.score_flags`` runs all its passes but
-the last in one forked child process beside the last. It is also causal: on
-a prefix of the stream that holds its ``leveling_samples``, it gives the
-whole stream's states bit for bit, which is how ``score_flags`` runs the
-child's passes only as far as the triggers.
+passes can run in parallel: ``evaluate.score_flags`` runs some of its passes
+in one forked child process beside the others. It is also causal: on a
+prefix of the stream that holds its ``leveling_samples``, it gives the whole
+stream's states bit for bit, which is how ``score_flags`` runs every pass
+only as far as the triggers. And a pass continues: given a prefix's
+trajectory as ``start``, ``run_ins`` steps the rest of the stream from the
+prefix's last state and covariance ``P_end``, bit for bit as the whole pass
+would, whatever the flags after the prefix. Passes whose flags agree over a
+prefix share its states, so ``score_flags`` steps that prefix once.
 """
 from __future__ import annotations
 
@@ -167,26 +171,29 @@ def zupt_update(p, v, q, P, sigma_zupt, ws):
     return p_new, v_new, q_new, 0.5 * (P_new + P_new.T)
 
 
-def _ins_loop(t, accel, gyro, zv, q0, P0, g, sig_a, sig_g, sig_z):
+def _ins_loop(t, accel, gyro, zv, state, t_prev, g, sig_a, sig_g, sig_z):
+    # ``state`` is (p, v, q, P) at t_prev, which the first sample propagates
+    # from; with t_prev None it is the first sample's state before its update.
     # gyro and dt become floats one sample at a time: whole-array .tolist()
     # copies leave ~2 MB of freed Python objects behind, raising peak RSS
     n = t.shape[0]
-    dts = np.diff(t)
+    dts = np.diff(t, prepend=t[0] if t_prev is None else t_prev)
     zv = zv.tolist()
     g = g.tolist()
     out = np.empty((n, 10))
     ws = Workspace()
-    p, v, q, P = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), q0, P0
-    k = 0
+    p, v, q, P = state
+    k = first = 0
     # a diverging filter overflows: numpy stays silent, and the check below reports it
     with np.errstate(all="ignore"):
         try:
-            if zv[0]:
-                p, v, q, P = zupt_update(p, v, q, P, sig_z, ws)
-            out[0] = p + v + q
-            for k in range(1, n):
-                dt = dts.item(k - 1)
-                p, v, q, P = propagate(p, v, q, P, accel[k], gyro[k].tolist(), dt, g,
+            if t_prev is None:
+                if zv[0]:
+                    p, v, q, P = zupt_update(p, v, q, P, sig_z, ws)
+                out[0] = p + v + q
+                first = 1
+            for k in range(first, n):
+                p, v, q, P = propagate(p, v, q, P, accel[k], gyro[k].tolist(), dts.item(k), g,
                                        sig_a, sig_g, ws)
                 if zv[k]:
                     p, v, q, P = zupt_update(p, v, q, P, sig_z, ws)
@@ -197,7 +204,7 @@ def _ins_loop(t, accel, gyro, zv, q0, P0, g, sig_a, sig_g, sig_z):
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
         raise ValueError(f"the filter diverged: its state is not finite at t = {t[bad[0]]:.3f} s")
-    return out[:, 0:3], out[:, 3:6], out[:, 6:10]
+    return out[:, 0:3], out[:, 3:6], out[:, 6:10], P
 
 
 def level_from_accel(mean_accel) -> tuple:
@@ -226,13 +233,18 @@ def level_from_accel(mean_accel) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Timestamped navigation states with the applied zero-velocity flags."""
+    """Timestamped navigation states with the applied zero-velocity flags.
+
+    ``P_end`` is the filter's covariance after the last sample, which a
+    continued ``run_ins`` starts from; a trajectory read from a file has none.
+    """
 
     t: np.ndarray
     pos: np.ndarray
     vel: np.ndarray
     quat: np.ndarray
     zupt: np.ndarray
+    P_end: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.t.shape[0]
@@ -261,31 +273,44 @@ def leveling_samples(t: np.ndarray, zv: np.ndarray) -> tuple[slice, bool]:
     return slice(i0, i1 + 1), True
 
 
-def run_ins(stream: ImuStream, zv, cfg: EkfConfig | None = None) -> Trajectory:
+def run_ins(stream: ImuStream, zv, cfg: EkfConfig | None = None, *,
+            start: Trajectory | None = None) -> Trajectory:
     """Run the zero-velocity-aided INS over a stream.
 
     ``zv`` is one stationary flag per sample; the update is applied at every
     flagged sample. Initial roll/pitch is leveled from the mean accel of
     ``leveling_samples`` (warning when they fall back to the first 50
-    samples); initial yaw is zero. A state that is not finite, from a
-    diverging filter, raises ``ValueError``.
+    samples); initial yaw is zero. With ``start``, a trajectory that ends
+    just before the stream begins, the pass continues from its last state
+    and ``P_end`` instead, with no leveling: a pass over a log's first d
+    samples, continued over the rest, gives the whole pass's states bit for
+    bit. A state that is not finite, from a diverging filter, raises
+    ``ValueError``.
     """
     cfg = cfg or EkfConfig()
     zv = np.asarray(zv, dtype=bool)
     if zv.shape != (len(stream),):
         raise ValueError("zv must hold one flag per stream sample")
 
-    span, stationary = leveling_samples(stream.t, zv)
-    if not stationary:
-        warnings.warn(
-            "no stationary samples in the first second; leveling from the first 50 samples",
-            stacklevel=2,
-        )
-
-    q0 = level_from_accel(stream.accel[span].mean(axis=0))
-    pos, vel, quat = _ins_loop(
-        stream.t, stream.accel, stream.gyro, zv,
-        q0, cfg.initial_covariance(),
+    if start is None:
+        span, stationary = leveling_samples(stream.t, zv)
+        if not stationary:
+            warnings.warn(
+                "no stationary samples in the first second; leveling from the first 50 samples",
+                stacklevel=2,
+            )
+        q0 = level_from_accel(stream.accel[span].mean(axis=0))
+        state = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), q0, cfg.initial_covariance()
+        t_prev = None
+    else:
+        if start.P_end is None or not start.t[-1] < stream.t[0]:
+            raise ValueError("start must be a run_ins trajectory that ends before the stream "
+                             "begins")
+        state = (*(tuple(a[-1].tolist()) for a in (start.pos, start.vel, start.quat)),
+                 start.P_end)
+        t_prev = start.t[-1]
+    pos, vel, quat, P_end = _ins_loop(
+        stream.t, stream.accel, stream.gyro, zv, state, t_prev,
         cfg.gravity, cfg.sigma_accel, cfg.sigma_gyro, cfg.sigma_zupt,
     )
-    return Trajectory(stream.t.copy(), pos, vel, quat, zv.copy())
+    return Trajectory(stream.t.copy(), pos, vel, quat, zv.copy(), P_end)

@@ -4,19 +4,24 @@ An INS trajectory starts with arbitrary yaw, so it is registered to the
 surveyed marker map with a rigid 2-D transform (yaw plus translation)
 computed from the first two trigger-time positions against their markers.
 Position error is then the 2-D distance between the trajectory at a trigger
-timestamp (linearly interpolated between samples) and the surveyed marker;
-the headline number is taken at the marker farthest from the origin along
-the surveyed chain, where symmetric step-length errors cannot cancel the way
-they do at loop closure.
+timestamp (linearly interpolated between samples) and the surveyed marker.
+The headline number, the furthest-point error, is taken at the marker with
+the largest cumulative distance along the surveyed chain: the sum of the 3-D
+distances between consecutive markers in map order, from the first marker.
+That is not the marker farthest from the start: on a layout with a return
+leg it is the last one. Symmetric step-length errors cannot cancel there the
+way they do at loop closure.
 
 ``adaptive_zupts`` is the paper's detector, its threshold switched by the
 classified motion. ``score_flags`` scores the INS over any named ZUPT flag
-sets; ``run_trial`` scores the two fixed thresholds and the adaptive one. The
-passes are independent and pure, so the scorer runs the last set itself while
-one forked child, inheriting its inputs, runs the others and sends back only
-their scores, each pass stopping just after the last trigger. The report is
-the one a serial loop over whole passes would give, and is deterministic
-given inputs and seed. ``fork`` makes this POSIX-only.
+sets; ``run_trial`` scores the two fixed thresholds and the adaptive one.
+Every pass stops just after the last trigger. A set whose flags match the
+last set's up to some sample shares the last set's states up to there, so
+the scorer steps that stretch once, then each set from where it leaves; one
+forked child, inheriting its inputs, runs the other sets and sends back only
+their scores. The report is the one a serial loop over whole passes would
+give, and is deterministic given inputs and seed. ``fork`` makes this
+POSIX-only.
 """
 from __future__ import annotations
 
@@ -71,7 +76,6 @@ class TrialReport:
     furthest_errors: dict
     per_marker_errors: dict
     svm_accuracy: float | None
-    path_length: float
 
     def to_dict(self) -> dict:
         return {
@@ -81,7 +85,6 @@ class TrialReport:
                 for method, errors in self.per_marker_errors.items()
             },
             "svm_accuracy": None if self.svm_accuracy is None else float(self.svm_accuracy),
-            "path_length_m": float(self.path_length),
         }
 
 
@@ -122,7 +125,12 @@ def align_trajectory(traj: Trajectory, triggers: TriggerLog,
 
 
 def _farthest_marker(marker_map: MarkerMap) -> int:
-    """Marker farthest from the origin along the surveyed chain."""
+    """The marker with the largest cumulative distance along the surveyed chain.
+
+    The distance is summed over consecutive markers in map order, in 3-D,
+    from the first marker; of markers at equal distance, the first. It is not
+    the marker farthest from the start.
+    """
     cum = np.concatenate([
         [0.0], np.cumsum(np.linalg.norm(np.diff(marker_map.positions, axis=0), axis=1)),
     ])
@@ -169,22 +177,36 @@ def check_triggers(stream: ImuStream, triggers: TriggerLog, marker_map: MarkerMa
         raise ValueError(f"no trigger recorded for the farthest marker {target}")
 
 
-def _score(stream, zv, ekf_cfg, triggers, marker_map) -> tuple[float, dict, float]:
-    """One method's furthest-point error, per-marker errors and 2-D path length."""
-    traj = align_trajectory(run_ins(stream, zv, ekf_cfg), triggers, marker_map)
-    path_length = float(np.linalg.norm(np.diff(traj.pos[:, :2], axis=0), axis=1).sum())
+def _score(traj, triggers, marker_map) -> tuple[float, dict]:
+    """One pass's furthest-point error and per-marker errors."""
+    traj = align_trajectory(traj, triggers, marker_map)
     return (furthest_point_error(traj, triggers, marker_map),
-            per_marker_errors(traj, triggers, marker_map), path_length)
+            per_marker_errors(traj, triggers, marker_map))
 
 
-def _recorded_score(*args) -> tuple:
-    """``_score``'s result or exception, with the warnings it raised: (result, exc, warnings)."""
+def _recorded(fn, *args, **kwargs) -> tuple:
+    """``fn``'s result or exception, with the warnings it raised: (result, exc, warnings)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            return _score(*args), None, [w.message for w in caught]
+            return fn(*args, **kwargs), None, [w.message for w in caught]
         except Exception as exc:
             return None, exc, [w.message for w in caught]
+
+
+def _scored(steps, triggers, marker_map) -> tuple:
+    """A pass's (scores, exception, warnings) from the ``_recorded`` ``run_ins`` calls
+    that stepped its consecutive pieces."""
+    caught = [message for _, _, messages in steps for message in messages]
+    for _, exc, _ in steps:
+        if exc is not None:
+            return None, exc, caught
+    pieces = [piece for piece, _, _ in steps]
+    traj = pieces[0] if len(pieces) == 1 else Trajectory(*(
+        np.concatenate([getattr(piece, name) for piece in pieces])
+        for name in ("t", "pos", "vel", "quat", "zupt")))
+    result, exc, messages = _recorded(_score, traj, triggers, marker_map)
+    return result, exc, caught + messages
 
 
 def adaptive_zupts(stream: ImuStream, model: SvmModel, detector: DetectorParams,
@@ -202,15 +224,19 @@ def score_flags(stream: ImuStream, flags_by_name: dict, ekf_cfg: EkfConfig,
                 triggers: TriggerLog, marker_map: MarkerMap) -> TrialReport:
     """Run the INS over each named set of ZUPT flags and score it against the markers.
 
-    The report holds each set's errors, in ``flags_by_name`` order, and the
-    last set's path length. That set's pass runs here over the whole stream;
-    one forked child runs the others in order, each only up to the first
-    sample at or after the last trigger and through its ``leveling_samples``,
-    which gives the whole pass's scores: a set that diverges only after the
-    last trigger fails only if it is the last. The child is joined before
-    returning or raising; its death raises ``RuntimeError``. Each pass's
-    warnings are issued again here, then its exception raised, in
-    ``flags_by_name`` order; the child's carry a note with their traceback.
+    The report holds each set's errors, in ``flags_by_name`` order. Each
+    set's pass runs only up to the first sample at or after the last
+    trigger, and through its ``leveling_samples``, which gives the whole
+    pass's scores. A set that levels from the same samples as the last set,
+    and has the same flags through them and the flag after them, joins the
+    last set's family: its states equal the last set's up to the first
+    sample d where its flags differ, so it is stepped only from d, continuing
+    the last set's pass. The family runs here; one forked child runs the
+    other sets in order, and there is no child when there are none. The child
+    is joined before returning or raising; its death raises
+    ``RuntimeError``. Each set's warnings are issued again here, then its
+    exception raised, in ``flags_by_name`` order, as a serial loop over whole
+    passes would; the child's carry a note with their traceback.
     """
     if not flags_by_name:
         raise ValueError("need at least one flag set to score")
@@ -219,21 +245,49 @@ def score_flags(stream: ImuStream, flags_by_name: dict, ekf_cfg: EkfConfig,
         if zv.shape != (len(stream),):
             raise ValueError(f"flag set {name!r} must hold one flag per stream sample")
     check_triggers(stream, triggers, marker_map)
-    *forked, last = flags
+    *others, last = flags
+    levels = {name: leveling_samples(stream.t, zv) for name, zv in flags.items()}
     # np.interp reads a trigger from the samples either side of it, or from the
     # sample on it, so nothing after the first sample at or after the last one
     scored = int(np.searchsorted(stream.t, triggers.t[-1])) + 1
-    ends = [max(scored, leveling_samples(stream.t, flags[name])[0].stop) for name in forked]
+    ends = {name: max(scored, span.stop) for name, (span, _) in levels.items()}
+    end = ends[last]
+    # the family: the last set and each member, by the sample its own steps start at
+    resume = {last: end}
+    for name in others:
+        differ = flags[name][:end] != flags[last][:end]
+        d = int(np.argmax(differ)) if differ.any() else end
+        if levels[name] == levels[last] and (d > levels[last][0].stop or d == end):
+            resume[name] = d
+    forked = [name for name in others if name not in resume]
+
+    def score_family() -> dict:
+        # the last set's pass, in pieces cut where members leave it
+        cuts = sorted({0, *resume.values()})
+        steps, piece = [], None
+        for a, b in zip(cuts, cuts[1:]):
+            steps.append(_recorded(run_ins, stream[a:b], flags[last][a:b], ekf_cfg, start=piece))
+            piece, exc, _ = steps[-1]
+            if exc is not None:
+                break
+        outcomes = {}
+        for name, d in resume.items():
+            shared = steps[:cuts.index(d)]
+            if d < end and all(exc is None for _, exc, _ in shared):
+                shared.append(_recorded(run_ins, stream[d:end], flags[name][d:end], ekf_cfg,
+                                        start=shared[-1][0]))
+            outcomes[name] = _scored(shared, triggers, marker_map)
+        return outcomes
 
     def score_forked(conn) -> None:
-        outcomes = [_recorded_score(stream[:end], flags[name][:end], ekf_cfg, triggers,
-                                    marker_map) for name, end in zip(forked, ends)]
+        outcomes = [_scored([_recorded(run_ins, stream[:ends[name]], flags[name][:ends[name]],
+                                       ekf_cfg)], triggers, marker_map) for name in forked]
         for exc in (exc for _, exc, _ in outcomes if exc is not None):
             exc.add_note("in a forked scoring process:\n"
                          + "".join(traceback.format_tb(exc.__traceback__)))
         conn.send(outcomes)
 
-    outcomes, child = [], None
+    outcomes, child = {}, None
     try:
         if forked:
             fork = multiprocessing.get_context("fork")
@@ -241,10 +295,10 @@ def score_flags(stream: ImuStream, flags_by_name: dict, ekf_cfg: EkfConfig,
             child = fork.Process(target=score_forked, args=(child_conn,))
             with child_conn:
                 child.start()
-        last_outcome = _recorded_score(stream, flags[last], ekf_cfg, triggers, marker_map)
+        family = score_family()
         if child is not None:
             try:
-                outcomes = conn.recv()
+                outcomes = dict(zip(forked, conn.recv()))
             except EOFError:
                 child.join()
                 raise RuntimeError(f"the process scoring {', '.join(forked)} exited with code "
@@ -254,14 +308,14 @@ def score_flags(stream: ImuStream, flags_by_name: dict, ekf_cfg: EkfConfig,
             conn.close()
             child.join()
 
-    outcomes.append(last_outcome)
-    for _, exc, caught in outcomes:
+    outcomes.update(family)
+    for _, exc, caught in (outcomes[name] for name in flags):
         for message in caught:
             warnings.warn(message, stacklevel=2)
         if exc is not None:
             raise exc
-    furthest, per_marker, lengths = zip(*(result for result, _, _ in outcomes))
-    return TrialReport(dict(zip(flags, furthest)), dict(zip(flags, per_marker)), None, lengths[-1])
+    furthest, per_marker = zip(*(outcomes[name][0] for name in flags))
+    return TrialReport(dict(zip(flags, furthest)), dict(zip(flags, per_marker)), None)
 
 
 def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,

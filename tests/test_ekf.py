@@ -1,11 +1,13 @@
+import functools
 import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,7 +20,8 @@ from zvnav.core import (
     _quat_normalize,
     quat_to_rotation,
 )
-from zvnav.ekf import EkfConfig, Workspace, level_from_accel, propagate, run_ins, zupt_update
+from zvnav.ekf import (EkfConfig, Trajectory, Workspace, leveling_samples, level_from_accel,
+                       propagate, run_ins, zupt_update)
 from zvnav.simulate import NoiseModel, gait_preset, simulate
 
 G_UP = np.array([0.0, 0.0, GRAVITY])
@@ -314,6 +317,82 @@ def test_run_ins_is_the_step_kernels_stepped_by_hand(case):
             # the kernels return tuples and take ndarray or tuple state alike
             p, v, q = np.array(p), np.array(v), np.array(q)
     assert np.array_equal(np.array(rows), np.hstack([traj.pos, traj.vel, traj.quat]))
+
+
+@functools.cache
+def short_walk():
+    """A 4 s walk (500 samples) and its stance flags; it stands still at the start."""
+    stream, truth = simulate([(gait_preset("walk"), 4.0)], NoiseModel(seed=8))
+    return stream, truth.stance
+
+
+def recorded_pass(*args, **kwargs):
+    """``run_ins``'s trajectory or divergence message, and its fallback warnings."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        try:
+            traj = run_ins(*args, **kwargs)
+        except ValueError as exc:
+            traj = str(exc)
+    return traj, sum("first second" in str(w.message) for w in rec)
+
+
+# at places d between the sample after the leveling samples (0.0) and the
+# end (1.0); burst is 1e160 accel from d - 1 ("before") or halfway to the end
+@settings(max_examples=40, deadline=None)
+@given(spun=st.booleans(), at=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       burst=st.sampled_from([None, "before", "after"]))
+@example(spun=False, at=0.0, seed=0, burst=None)
+@example(spun=False, at=1.0, seed=1, burst=None)
+@example(spun=True, at=0.0, seed=2, burst=None)
+@example(spun=False, at=0.3, seed=3, burst="before")
+@example(spun=True, at=0.3, seed=4, burst="after")
+def test_a_pass_continued_at_d_is_the_whole_pass(spun, at, seed, burst):
+    stream, zv = short_walk()
+    n = len(stream)
+    zv = zv.copy()
+    first_second = stream.t <= stream.t[0] + 1.0
+    if spun:  # no stationary flag in the first second: level from the first 50 samples
+        zv[first_second] = False
+    stop = leveling_samples(stream.t, zv)[0].stop
+    d = stop + 1 + round(at * (n - stop - 1))
+    # the flags from d on are any that keep the leveling samples
+    zv[d:] = np.random.default_rng(seed).random(n - d) < 0.3
+    if spun:
+        zv[first_second] = False
+    if burst is not None:
+        accel = stream.accel.copy()
+        b = d - 1 if burst == "before" else (d + n) // 2
+        accel[b:b + 3] = 1e160
+        stream = ImuStream(stream.t, accel, stream.gyro)
+
+    whole, whole_warned = recorded_pass(stream, zv)
+    prefix, warned = recorded_pass(stream[:d], zv[:d])
+    assert whole_warned == warned == int(spun)
+    parts = [prefix]
+    if d < n and not isinstance(prefix, str):
+        rest, rest_warned = recorded_pass(stream[d:], zv[d:], start=prefix)
+        assert rest_warned == 0
+        parts.append(rest)
+    if isinstance(whole, str):  # the part that diverges names the whole pass's state
+        assert parts[-1] == whole
+        return
+    assert not any(isinstance(part, str) for part in parts)
+    for name in ("t", "zupt"):
+        assert np.array_equal(np.concatenate([getattr(p, name) for p in parts]),
+                              getattr(whole, name))
+    assert_same_bits([*(np.concatenate([getattr(p, name) for p in parts])
+                        for name in ("pos", "vel", "quat")), parts[-1].P_end],
+                     [whole.pos, whole.vel, whole.quat, whole.P_end])
+
+
+def test_a_pass_continues_only_a_run_ins_trajectory_that_ends_before_it():
+    stream, zv = short_walk()
+    prefix = run_ins(stream[:100], zv[:100])
+    for start, rest in [(prefix, stream[99:]), (replace(prefix, P_end=None), stream[100:])]:
+        with pytest.raises(ValueError, match="^start must be a run_ins trajectory that ends "
+                                             "before the stream begins$"):
+            run_ins(rest, zv[-len(rest):], start=start)
 
 
 class TestLeveling:

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,22 @@ def straight_map(n=4, spacing=10.0):
     pos = np.zeros((n, 3))
     pos[:, 0] = spacing * np.arange(n)
     return MarkerMap(ids, pos, 0.0, spacing * (n - 1))
+
+
+def serial_report(whole, triggers, marker_map, svm_accuracy=None):
+    """The report of a serial loop over whole passes: ``whole`` maps each set's
+    name to its whole-log trajectory, in order."""
+    aligned = {name: align_trajectory(traj, triggers, marker_map) for name, traj in whole.items()}
+    return TrialReport(
+        {name: furthest_point_error(traj, triggers, marker_map) for name, traj in aligned.items()},
+        {name: per_marker_errors(traj, triggers, marker_map) for name, traj in aligned.items()},
+        svm_accuracy)
+
+
+def same_report(a, b):
+    # json.dumps keeps key order and writes floats by repr: equal text is
+    # equal values in equal order
+    return json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
 
 def straight_trajectory(n=1000, speed=1.0, rate=125.0):
@@ -131,6 +148,22 @@ class TestFurthestPointError:
         at = np.array([np.interp(9.0, traj.t, traj.pos[:, 0]), 0.0])
         assert err == pytest.approx(np.linalg.norm(at - pos[2, :2]), abs=1e-12)
 
+    def test_a_return_leg_puts_the_furthest_point_at_the_chain_end(self):
+        # out along x to 30 m and back to 10 m, 1.4 m to the side: marker 3 is
+        # the farthest from the start, marker 5 the farthest along the chain
+        ids = tuple(range(6))
+        pos = np.array([[0.0, 0, 0], [10.0, 0, 0], [20.0, 0, 0], [30.0, 0, 0],
+                        [20.0, 1.4, 0], [10.0, 1.4, 0]])
+        marker_map = MarkerMap(ids, pos, 0.0, 50.1)
+        traj = straight_trajectory(4000)
+        triggers = TriggerLog(np.array([0.0, 10.0, 20.0, 30.0]), np.array([0, 1, 2, 3]))
+        with pytest.raises(ValueError, match="^no trigger recorded for the farthest marker 5$"):
+            furthest_point_error(traj, triggers, marker_map)
+        triggers = TriggerLog(np.array([0.0, 10.0, 20.0, 30.0, 31.0]), np.array([0, 1, 2, 3, 5]))
+        at = np.array([np.interp(31.0, traj.t, traj.pos[:, 0]), 0.0])
+        assert furthest_point_error(traj, triggers, marker_map) == pytest.approx(
+            np.linalg.norm(at - pos[5, :2]), abs=1e-12)
+
     def test_missing_trigger_for_far_marker(self):
         traj = straight_trajectory(4000)
         marker_map = straight_map()
@@ -211,10 +244,8 @@ class TestRunTrial:
         assert set(a.furthest_errors) == {"gamma_walk", "gamma_run", "gamma_adapt"}
         assert a.svm_accuracy == b.svm_accuracy
         assert a.svm_accuracy > 0.9
-        assert a.path_length > 0
         d = a.to_dict()
-        assert set(d) == {"furthest_point_error_m", "per_marker_error_m",
-                          "svm_accuracy", "path_length_m"}
+        assert set(d) == {"furthest_point_error_m", "per_marker_error_m", "svm_accuracy"}
 
     def test_needs_binary_model(self, six_class_model, adaptive_setup):
         stream, truth = simulate(mixed_segments(), NoiseModel(seed=52))
@@ -274,8 +305,8 @@ class PassInterrupted(BaseException):
 
 
 class TestParallelRunTrial:
-    """``score_flags`` runs every pass but the last in one forked child; forks inherit
-    monkeypatches."""
+    """``score_flags`` runs the last set and its family here and the other sets in one
+    forked child; forks inherit monkeypatches."""
 
     @pytest.fixture(scope="class")
     def trial(self):
@@ -353,18 +384,10 @@ class TestParallelRunTrial:
         ids[far_at % len(times)] = marker_map.marker_ids[-1]
         triggers = TriggerLog(times, ids)
 
-        furthest, per_marker = {}, {}
-        for method, traj in whole.items():
-            traj = align_trajectory(traj, triggers, marker_map)
-            furthest[method] = furthest_point_error(traj, triggers, marker_map)
-            per_marker[method] = per_marker_errors(traj, triggers, marker_map)
-        path_length = float(np.linalg.norm(np.diff(traj.pos[:, :2], axis=0), axis=1).sum())
-        serial = TrialReport(furthest, per_marker,
-                             float(np.mean(labels.smoothed == truth.labels)), path_length)
-        # json.dumps keeps key order and writes floats by repr: equal text is
-        # equal values in equal order
+        serial = serial_report(whole, triggers, marker_map,
+                               float(np.mean(labels.smoothed == truth.labels)))
         report = self.run((stream, truth, marker_map, triggers), adaptive_setup)
-        assert json.dumps(report.to_dict()) == json.dumps(serial.to_dict())
+        assert same_report(report, serial)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("failing, raised", [
@@ -377,7 +400,7 @@ class TestParallelRunTrial:
                                                      failing, raised):
         stream, _, _, triggers = trial
         _, flags = self.flags(trial, adaptive_setup)
-        # the fixed passes run only up to the last trigger; the flags tell the
+        # every pass runs only up to the last trigger; the flags tell the
         # passes apart over that span too
         scored = int(np.searchsorted(stream.t, triggers.t[-1])) + 1
         for end in (len(stream), scored):
@@ -386,11 +409,14 @@ class TestParallelRunTrial:
                                         ("gamma_walk", "gamma_adapt"),
                                         ("gamma_run", "gamma_adapt")])
 
-        def failing_ins(stream, zv, cfg=None):
-            for method in failing:
-                if np.array_equal(zv, flags[method][:len(zv)]):
-                    raise PassFailed(f"{method} pass failed")
-            return run_ins(stream, zv, cfg)
+        # a call fails when the flags of the samples it steps are a failing
+        # method's alone: a piece the adaptive and walk passes share fails neither
+        def failing_ins(piece, zv, cfg=None, *, start=None):
+            at = int(np.searchsorted(stream.t, piece.t[0]))
+            owners = [m for m, f in flags.items() if np.array_equal(zv, f[at:at + len(zv)])]
+            if len(owners) == 1 and owners[0] in failing:
+                raise PassFailed(f"{owners[0]} pass failed")
+            return run_ins(piece, zv, cfg, start=start)
 
         monkeypatch.setattr("zvnav.evaluate.run_ins", failing_ins)
         with pytest.raises(PassFailed) as err:
@@ -423,27 +449,27 @@ class TestParallelRunTrial:
         assert str(err.value) == messages["gamma_walk"]
         assert multiprocessing.active_children() == []
 
-    def test_a_burst_after_the_last_trigger_diverges_only_the_adaptive_pass(
-            self, trial, adaptive_setup):
+    def test_a_burst_after_the_last_trigger_fails_no_pass(self, trial, adaptive_setup):
         stream, truth, marker_map, triggers = trial
         at = int(np.searchsorted(stream.t, triggers.t[-1])) + 500
         burst = self.burst(stream, at)
-        # every whole pass diverges, and the adaptive one not first
-        messages = self.divergence_messages(burst, adaptive_setup)
-        assert messages["gamma_adapt"] != messages["gamma_walk"]
-        with pytest.raises(ValueError) as err:
-            self.run((burst, truth, marker_map, triggers), adaptive_setup)
-        assert str(err.value) == messages["gamma_adapt"]
+        # every whole-log pass diverges, but every pass stops before the burst
+        self.divergence_messages(burst, adaptive_setup)
+        scores = [self.run((log, truth, marker_map, triggers), adaptive_setup).to_dict()
+                  for log in (stream, burst)]
+        for key in ("furthest_point_error_m", "per_marker_error_m"):
+            assert json.dumps(scores[0][key]) == json.dumps(scores[1][key])
         assert multiprocessing.active_children() == []
 
     def test_children_are_joined_when_the_callers_pass_is_interrupted(
             self, trial, adaptive_setup, monkeypatch):
         _, flags = self.flags(trial, adaptive_setup)
 
-        def interrupted_ins(stream, zv, cfg=None):
-            if np.array_equal(zv, flags["gamma_adapt"]):
+        # the first piece of the adaptive pass, which the caller steps first
+        def interrupted_ins(stream, zv, cfg=None, *, start=None):
+            if start is None and np.array_equal(zv, flags["gamma_adapt"][:len(zv)]):
                 raise PassInterrupted
-            return run_ins(stream, zv, cfg)
+            return run_ins(stream, zv, cfg, start=start)
 
         monkeypatch.setattr("zvnav.evaluate.run_ins", interrupted_ins)
         with pytest.raises(PassInterrupted):
@@ -467,17 +493,33 @@ class TestParallelRunTrial:
         assert sum("first second" in str(w.message) for w in rec) == 1
         assert multiprocessing.active_children() == []
 
-    def test_caller_runs_only_the_adaptive_ins_pass(self, trial, adaptive_setup, monkeypatch):
+    def test_the_caller_steps_the_shared_prefix_once(self, trial, adaptive_setup, monkeypatch,
+                                                     tmp_path):
         # the benchmark's tracer sees only this process's calls
-        callers = []
+        stream, _, _, triggers = trial
+        _, flags = self.flags(trial, adaptive_setup)
+        end = int(np.searchsorted(stream.t, triggers.t[-1])) + 1
+        d = int(np.argmax(flags["gamma_walk"] != flags["gamma_adapt"]))
+        assert leveling_samples(stream.t, flags["gamma_walk"])[0].stop < d < end
+        calls = tmp_path / "calls"
 
-        def counting_ins(*args, **kwargs):
-            callers.append(os.getpid())
-            return run_ins(*args, **kwargs)
+        def recording_ins(piece, zv, cfg=None, *, start=None):
+            at = int(np.searchsorted(stream.t, piece.t[0]))
+            owners = [m for m, f in flags.items() if np.array_equal(zv, f[at:at + len(zv)])]
+            with calls.open("a") as f:
+                f.write(f"{os.getpid()} {'+'.join(owners)} {at} {at + len(piece)}\n")
+            return run_ins(piece, zv, cfg, start=start)
 
-        monkeypatch.setattr("zvnav.evaluate.run_ins", counting_ins)
+        monkeypatch.setattr("zvnav.evaluate.run_ins", recording_ins)
         self.run(trial, adaptive_setup)
-        assert callers == [os.getpid()]
+        caller = [line.split()[1:] for line in calls.read_text().splitlines()
+                  if line.split()[0] == str(os.getpid())]
+        child = [line.split()[1:] for line in calls.read_text().splitlines()
+                 if line.split()[0] != str(os.getpid())]
+        # walk and adapt share their flags and states up to d
+        assert caller == [["gamma_walk+gamma_adapt", "0", str(d)],
+                          ["gamma_adapt", str(d), str(end)], ["gamma_walk", str(d), str(end)]]
+        assert child == [["gamma_run", "0", str(end)]]
 
     @settings(max_examples=5, deadline=None)
     @given(picks=st.lists(st.sampled_from(["gamma_walk", "gamma_run", "gamma_adapt"])
@@ -492,18 +534,71 @@ class TestParallelRunTrial:
         for i, pick in enumerate(picks):
             name = f"{i} {pick}"
             if isinstance(pick, str):
-                flags[name], traj = whole[pick].zupt, whole[pick]
+                flags[name], serial[name] = whole[pick].zupt, whole[pick]
             else:
                 flags[name] = np.random.default_rng(pick).random(len(stream)) < 0.3
-                traj = run_ins(stream, flags[name], adaptive_setup["ekf"])
-            serial[name] = traj = align_trajectory(traj, triggers, marker_map)
-        path_length = float(np.linalg.norm(np.diff(traj.pos[:, :2], axis=0), axis=1).sum())
-        expected = TrialReport(
-            {name: furthest_point_error(t, triggers, marker_map) for name, t in serial.items()},
-            {name: per_marker_errors(t, triggers, marker_map) for name, t in serial.items()},
-            None, path_length)
+                serial[name] = run_ins(stream, flags[name], adaptive_setup["ekf"])
         report = score_flags(stream, flags, adaptive_setup["ekf"], triggers, marker_map)
-        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+        assert same_report(report, serial_report(serial, triggers, marker_map))
+        assert multiprocessing.active_children() == []
+
+    @settings(max_examples=4, deadline=None)
+    @given(log=st.sampled_from(["still", "spun"]),
+           leaves=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3), burst=st.booleans())
+    @example(log="still", leaves=[0.0, 1.0], burst=False)
+    @example(log="spun", leaves=[0.0, 0.5], burst=True)
+    @example(log="still", leaves=[0.5, 0.5], burst=False)
+    def test_sets_sharing_the_last_sets_prefix_score_as_a_serial_loop(
+            self, trial, whole_passes, adaptive_setup, log, leaves, burst):
+        # each member has the last set's flags up to a sample d between the
+        # first it may leave them at (0.0) and the end of the scored span (1.0):
+        # the one after the leveling samples, or in the spun log, where the last
+        # set levels from the first 50 samples, the first after the first second
+        _, _, marker_map, triggers = trial
+        stream, _, whole = whole_passes[log]
+        last = whole["gamma_adapt"].zupt
+        first = leveling_samples(stream.t, last)[0].stop + 1
+        if log == "spun":
+            first = int(np.searchsorted(stream.t, stream.t[0] + 1.0, side="right"))
+        end = int(np.searchsorted(stream.t, triggers.t[-1])) + 1
+        flags, starts = {}, []
+        for i, leave in enumerate(leaves):
+            d = first + round(leave * (end - first))
+            zv = last.copy()
+            zv[d:] = np.random.default_rng(i).random(len(stream) - d) < 0.3
+            zv[d] = not last[d]
+            flags[f"{i} leaves at {d}"] = zv
+            starts.append(d)
+        flags["gamma_adapt"] = last
+        if burst:  # from the last sample every member shares with the last set
+            stream = self.burst(stream, first - 1)
+
+        cfg, caller, stepped = adaptive_setup["ekf"], os.getpid(), []
+
+        def recording_ins(piece, zv, cfg=None, *, start=None):
+            stepped.append((os.getpid(), len(piece)))
+            return run_ins(piece, zv, cfg, start=start)
+
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            patch.setattr("zvnav.evaluate.run_ins", recording_ins)
+            if burst:
+                with pytest.raises(ValueError) as err:
+                    score_flags(stream, flags, cfg, triggers, marker_map)
+                with pytest.raises(ValueError) as serial_err:
+                    run_ins(stream, flags[next(iter(flags))], cfg)
+                assert str(err.value) == str(serial_err.value)
+            else:
+                report = score_flags(stream, flags, cfg, triggers, marker_map)
+                serial = {name: run_ins(stream, zv, cfg) for name, zv in flags.items()}
+                assert same_report(report, serial_report(serial, triggers, marker_map))
+                # no child: the last set's pass is stepped once, and each member from its d
+                assert stepped == [(caller, n) for n in np.diff(sorted({0, end, *starts}))] \
+                    + [(caller, end - d) for d in starts if d < end]
+        # each set's fallback warning, from score_flags and again from the serial
+        # passes; score_flags issues no warning of a set after the first that fails
+        per_run = 0 if log == "still" else 1 if burst else len(flags)
+        assert sum("first second" in str(w.message) for w in rec) == 2 * per_run
         assert multiprocessing.active_children() == []
 
     def test_five_flag_sets_fork_one_child(self, trial, whole_passes, adaptive_setup,
@@ -521,8 +616,10 @@ class TestParallelRunTrial:
         flags = {name: traj.zupt for name, traj in whole.items()}
         flags.update(walk_again=flags["gamma_walk"], run_again=flags["gamma_run"])
         score_flags(stream, flags, adaptive_setup["ekf"], triggers, marker_map)
+        # the last set, run_again, levels from other samples than walk and adapt;
+        # its pass is gamma_run's too, so the caller steps it once
         recorded = pids.read_text().split()
-        assert len(recorded) == 5 and len(set(recorded)) == 2
+        assert len(recorded) == 4 and len(set(recorded)) == 2
         assert recorded.count(str(os.getpid())) == 1
         assert multiprocessing.active_children() == []
 
@@ -539,7 +636,7 @@ class TestParallelRunTrial:
 
         monkeypatch.setattr("zvnav.evaluate.run_ins", dying_ins)
         flags = {name: traj.zupt for name, traj in whole.items()}
-        with pytest.raises(RuntimeError, match="^the process scoring gamma_walk, gamma_run exited "
+        with pytest.raises(RuntimeError, match="^the process scoring gamma_run exited "
                                                "with code 3 before sending its scores$"):
             score_flags(stream, flags, adaptive_setup["ekf"], triggers, marker_map)
         assert multiprocessing.active_children() == []
