@@ -2,10 +2,12 @@
 
 The six command groups (zv, classify, sim, survey, ins, eval) live under one
 ``zvnav`` entry point, e.g. ``zvnav zv detect ...`` or ``zvnav eval trial ...``.
-Shared EKF/detector defaults can come from a ``key = value`` config file
-(--config). Its keys are the settings' field names, listed with their
-targets in ``io.CONFIG_TABLE``; ``_configure`` applies them, and a flag
-named like a key overrides the config value. Bad input files, config files,
+Shared EKF/detector settings can come from a ``key = value`` config file
+(--config), and from there only: no option is named like a config key. Its
+keys are the settings' field names, listed with their targets in
+``io.CONFIG_TABLE``; ``_configure`` applies them. Detection thresholds are
+arguments, never settings: ``--gamma``, ``--gamma-walk``/``--gamma-run``
+or ``--gammas``. Bad input files, config files,
 models or option values, and a gamma sweep or SVM fit that finds no
 solution, end a command with a one-line error rather than a traceback.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import io as zio
 from .core import read_json_object, require_positive, write_json
-from .detector import AdaptiveParams, DetectorParams, detect
+from .detector import DEFAULT_GAMMA_WALK, AdaptiveParams, DetectorParams, detect
 from .ekf import EkfConfig, run_ins
 from .evaluate import (DEFAULT_MARKER_EVERY, adaptive_zupts, check_triggers,
                        marker_layout_from_truth, run_trial)
@@ -66,21 +68,15 @@ def _settings(values: dict) -> tuple[DetectorParams, EkfConfig]:
     return DetectorParams(**fields[DetectorParams]), EkfConfig(**fields[EkfConfig])
 
 
-def _configure(imu, config_path, **flags):
-    """A command's IMU log, detector and filter settings, and the config keys set.
-
-    Settings are the defaults, then the config file's values, then the flags
-    given; ``flags`` are the command's options named like config keys. The
-    config values are applied on their own first, so a value that a setting
-    rejects fails naming the file.
-    """
+def _configure(imu, config_path):
+    """A command's IMU log, and its detector and filter settings: the defaults, then
+    the config file's values. A value that a setting rejects fails naming the file."""
     cfg = zio.load_config(config_path) if config_path else {}
     try:
-        _settings(cfg)
+        settings = _settings(cfg)
     except ValueError as exc:
         raise ValueError(f"{config_path}: {exc}") from None
-    given = {**cfg, **{key: v for key, v in flags.items() if v is not None}}
-    return (zio.read_imu_csv(imu), *_settings(given), given)
+    return (zio.read_imu_csv(imu), *settings)
 
 
 def _load_model(model_path, imu, stream):
@@ -126,20 +122,16 @@ def zv():
 
 @zv.command("detect")
 @click.option("--imu", required=True, type=click.Path(exists=True))
-@click.option("--gamma", type=float, default=None, help="Detection threshold.")
-@click.option("--window", type=int, default=None)
-@click.option("--sigma-a", type=float, default=None)
-@click.option("--sigma-w", type=float, default=None)
-@click.option("--gravity", type=float, default=None)
+@click.option("--gamma", type=float, default=DEFAULT_GAMMA_WALK, show_default=True,
+              help="Detection threshold.")
 @click.option("--config", type=click.Path(exists=True), default=None)
 @click.option("--out", required=True, type=click.Path())
-def zv_detect(imu, gamma, window, sigma_a, sigma_w, gravity, config, out):
+def zv_detect(imu, gamma, config, out):
     """Flag stationary samples; writes a t,stationary CSV."""
-    stream, params, _, _ = _configure(imu, config, window=window, sigma_a=sigma_a,
-                                      sigma_w=sigma_w, gravity=gravity, gamma=gamma)
-    flags = detect(stream, params)
+    stream, params, _ = _configure(imu, config)
+    flags = detect(stream, params, gamma)
     zio.write_detect_csv(out, stream.t, flags)
-    click.echo(f"{int(flags.sum())} of {len(stream)} samples stationary (gamma={params.gamma:g})")
+    click.echo(f"{int(flags.sum())} of {len(stream)} samples stationary (gamma={gamma:g})")
 
 
 @zv.command("optimize")
@@ -150,17 +142,12 @@ def zv_detect(imu, gamma, window, sigma_a, sigma_w, gravity, config, out):
 @click.option("--speed-threshold", type=float, default=None,
               help="Ground-truth labeling speed threshold, m/s.")
 @click.option("--grid-points", type=int, default=GAMMA_GRID_POINTS)
-@click.option("--window", type=int, default=None)
-@click.option("--sigma-a", type=float, default=None)
-@click.option("--sigma-w", type=float, default=None)
 @click.option("--config", type=click.Path(exists=True), default=None)
 @click.option("--curve-out", type=click.Path(), default=None,
               help="Write the gamma,precision,recall,f_beta curve CSV here.")
-def zv_optimize(imu, mocap, motion, beta2, speed_threshold, grid_points,
-                window, sigma_a, sigma_w, config, curve_out):
+def zv_optimize(imu, mocap, motion, beta2, speed_threshold, grid_points, config, curve_out):
     """Sweep gamma against mocap ground truth and print the optimum."""
-    stream, detector, _, _ = _configure(imu, config, window=window, sigma_a=sigma_a,
-                                        sigma_w=sigma_w)
+    stream, detector, _ = _configure(imu, config)
     if beta2 is None:
         beta2 = WALK_BETA_SQ if motion == "walk" else RUN_BETA_SQ
     if speed_threshold is None:
@@ -395,17 +382,24 @@ def ins():
 @click.option("--out", required=True, type=click.Path())
 def ins_run(imu, gamma, adaptive, model_path, gamma_walk, gamma_run, config, out):
     """Run the INS with a fixed or adaptive threshold; writes a trajectory CSV."""
-    stream, detector, ekf_cfg, given = _configure(imu, config, gamma=gamma)
+    thresholds = {"--gamma": gamma, "--model": model_path,
+                  "--gamma-walk": gamma_walk, "--gamma-run": gamma_run}
+    needed = ("--model", "--gamma-walk", "--gamma-run") if adaptive else ("--gamma",)
+    unused = [flag for flag, value in thresholds.items()
+              if value is not None and flag not in needed]
+    if unused:
+        raise click.UsageError(f"{', '.join(unused)}: not used "
+                               f"{'with' if adaptive else 'without'} --adaptive")
+    if any(thresholds[flag] is None for flag in needed):
+        raise click.UsageError("--adaptive needs --model, --gamma-walk and --gamma-run"
+                               if adaptive else "give --gamma, or use --adaptive")
+    stream, detector, ekf_cfg = _configure(imu, config)
 
     if adaptive:
-        if model_path is None or gamma_walk is None or gamma_run is None:
-            raise click.UsageError("--adaptive needs --model, --gamma-walk and --gamma-run")
         _, flags = adaptive_zupts(stream, _load_model(model_path, imu, stream), detector,
                                   AdaptiveParams(gamma_walk, gamma_run))
     else:
-        if "gamma" not in given:
-            raise click.UsageError("give --gamma (or a config value), or use --adaptive")
-        flags = detect(stream, detector)
+        flags = detect(stream, detector, gamma)
 
     traj = run_ins(stream, flags, ekf_cfg)
     zio.write_trajectory_csv(out, traj)
@@ -448,7 +442,7 @@ def _read_gammas(path) -> AdaptiveParams:
 @click.option("--report", required=True, type=click.Path())
 def eval_trial(imu, model_path, gammas, triggers, markers, truth_path, config, report):
     """Score fixed-walk, fixed-run and adaptive thresholding on one trial."""
-    stream, detector, ekf_cfg, _ = _configure(imu, config)
+    stream, detector, ekf_cfg = _configure(imu, config)
     model = _load_model(model_path, imu, stream)
     adaptive = _read_gammas(gammas)
     trigger_log = zio.read_trigger_csv(triggers)

@@ -37,18 +37,17 @@ DEFAULT_GAMMA_RUN = 13.11e5
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Window size W, tuning sigmas, gravity magnitude g and threshold gamma."""
+    """Window size W, tuning sigmas and gravity magnitude g; the threshold is ``detect``'s."""
 
     window: int = DEFAULT_WINDOW
     sigma_a: float = DEFAULT_SIGMA_A
     sigma_w: float = DEFAULT_SIGMA_W
     gravity: float = GRAVITY
-    gamma: float = DEFAULT_GAMMA_WALK
 
     def __post_init__(self):
         if self.window < 2:
             raise ValueError("window must be at least 2")
-        require_positive(self, "sigma_a", "sigma_w", "gravity", "gamma")
+        require_positive(self, "sigma_a", "sigma_w", "gravity")
         for name, value in (("sigma_a", self.sigma_a), ("sigma_w", self.sigma_w)):
             if not 0.0 < value * value < np.inf:  # the statistic divides by the square
                 raise ValueError(f"{name} = {value:g} is out of range: its square is 0 or inf")
@@ -107,9 +106,10 @@ def per_sample_statistics(stream: ImuStream, params: DetectorParams) -> np.ndarr
     return stats[idx]
 
 
-def detect(stream: ImuStream, params: DetectorParams) -> np.ndarray:
-    """Stationary flag per sample: statistic below ``params.gamma``."""
-    return per_sample_statistics(stream, params) < params.gamma
+def detect(stream: ImuStream, params: DetectorParams, gamma: float) -> np.ndarray:
+    """Stationary flag per sample: statistic below ``gamma``, a positive finite threshold."""
+    require_positive({"gamma": gamma})
+    return per_sample_statistics(stream, params) < gamma
 
 
 def detect_adaptive(stream: ImuStream, motion, params: DetectorParams,

@@ -337,8 +337,8 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
     check_triggers(stream, triggers, marker_map)
     labels, adaptive_flags = adaptive_zupts(stream, model, detector, gammas)
     report = score_flags(stream, {
-        METHOD_WALK: detect(stream, replace(detector, gamma=gammas.gamma_walk)),
-        METHOD_RUN: detect(stream, replace(detector, gamma=gammas.gamma_run)),
+        METHOD_WALK: detect(stream, detector, gammas.gamma_walk),
+        METHOD_RUN: detect(stream, detector, gammas.gamma_run),
         METHOD_ADAPT: adaptive_flags,
     }, ekf_cfg, triggers, marker_map)
     svm_accuracy = None if class_truth is None else float(np.mean(labels.smoothed == class_truth))

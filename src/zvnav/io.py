@@ -234,7 +234,6 @@ CONFIG_TABLE = (
     ("window", DetectorParams, _whole_number),
     ("sigma_a", DetectorParams, float),
     ("sigma_w", DetectorParams, float),
-    ("gamma", DetectorParams, float),
     ("gravity", DetectorParams, float),
     ("gravity", EkfConfig, gravity_vector),
     ("sigma_accel", EkfConfig, float),

@@ -154,7 +154,6 @@ def optimize_gamma(imu: ImuStream, mocap: MocapStream, detector: DetectorParams,
                    cfg: FBetaConfig) -> tuple[float, PrCurve]:
     """Sweep the grid and return the F-beta-optimal gamma plus the full curve.
 
-    ``detector.gamma`` is ignored; only the window and sigmas matter here.
     Ties resolve to the smallest gamma. Deterministic given grid and data.
     """
     labels = label_zero_velocity(mocap, cfg.speed_threshold)

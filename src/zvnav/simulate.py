@@ -14,9 +14,13 @@ foot-mounted unit without touching the exact truth trajectory: faster motion
 classes carry a deterministic sinusoidal "stance tremor" (a running foot is
 never sensor-still at midstance, which is what blinds walking-grade
 thresholds during running), and every swing starts and ends with a zero-mean
-toe-off/heel-strike shock burst (real liftoffs and touchdowns are violent,
-which is what keeps running-grade thresholds from firing inside a walking
-swing).
+toe-off/heel-strike shock burst (real liftoffs and touchdowns are violent).
+The bursts, at most 0.06 s each, sharpen the stance edges for a
+walking-grade threshold. They do not keep a running-grade threshold out of
+a walking swing. On the seed-31 walk calibration trial of the tests, the
+F-beta walk threshold 3.40e5 flags 321 of the 5,207 swing samples (674 with
+the bursts zeroed), and the F-beta run threshold 7.18e6 flags 5,173 of them,
+with or without the bursts.
 
 Generation is pure given the seed; trials parallelize across seeds.
 """

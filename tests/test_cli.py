@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import inspect
 import json
@@ -171,19 +170,22 @@ class TestZv:
         rerun_identical(["zv", "detect", "--imu", str(workdir / "walk.csv"),
                          "--gamma", "340000", "--out", str(out)], [out])
 
-    def test_detect_config_file_with_flag_override(self, workdir, tmp_path):
+    def test_a_config_gamma_is_an_unknown_key(self, workdir, tmp_path):
+        # the threshold is an argument (--gamma), not a setting
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("gamma = 1e-9\nwindow = 5\n")
-        out_low = tmp_path / "low.csv"
-        run_cli(["zv", "detect", "--imu", str(workdir / "walk.csv"),
-                 "--config", str(cfg), "--out", str(out_low)])
-        n_low = sum(l.split(",")[1] == "1" for l in out_low.read_text().splitlines()[1:])
-        assert n_low == 0  # config gamma used
-        out_hi = tmp_path / "hi.csv"
-        run_cli(["zv", "detect", "--imu", str(workdir / "walk.csv"),
-                 "--config", str(cfg), "--gamma", "340000", "--out", str(out_hi)])
-        n_hi = sum(l.split(",")[1] == "1" for l in out_hi.read_text().splitlines()[1:])
-        assert n_hi > 0  # flag overrides config
+        cfg.write_text("window = 5\ngamma = 1e5\n")
+        line = cli_error(["zv", "detect", "--imu", str(workdir / "walk.csv"),
+                          "--config", str(cfg), "--out", str(tmp_path / "flags.csv")])
+        assert line.startswith(f"Error: {cfg}, line 2: unknown config key 'gamma'")
+        assert not (tmp_path / "flags.csv").exists()
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "0", "-1"])
+    def test_detect_rejects_a_gamma_that_is_not_positive_and_finite(self, workdir, tmp_path,
+                                                                     gamma):
+        line = cli_error(["zv", "detect", "--imu", str(workdir / "walk.csv"), "--gamma", gamma,
+                          "--out", str(tmp_path / "flags.csv")])
+        assert line == "Error: gamma must be positive and finite"
+        assert not (tmp_path / "flags.csv").exists()
 
     def test_detect_rejects_unknown_config_key(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -201,10 +203,20 @@ class TestZv:
                           "--config", str(cfg), "--out", str(tmp_path / "flags.csv")])
         assert line.startswith(f"Error: {cfg}, line 1: unknown config key 'rate_hz'")
 
-    def test_a_flag_error_names_the_flag(self, workdir, tmp_path):
-        line = cli_error(["zv", "detect", "--imu", str(workdir / "walk.csv"),
-                          "--window", "1", "--out", str(tmp_path / "flags.csv")])
-        assert line == "Error: window must be at least 2"
+    @pytest.mark.parametrize("command, flag, value", [
+        ("detect", "--window", "5"),
+        ("optimize", "--sigma-a", "0.01"),
+    ], ids=["detect-window", "optimize-sigma-a"])
+    def test_a_config_key_is_no_flag(self, workdir, tmp_path, command, flag, value):
+        # detector settings come from --config alone
+        out = tmp_path / "out.csv"
+        args = {"detect": ["--out", str(out)],
+                "optimize": ["--mocap", str(workdir / "walk_mocap.csv"), "--motion", "walk",
+                             "--curve-out", str(out)]}[command]
+        line = usage_error(["zv", command, "--imu", str(workdir / "walk.csv"), *args,
+                            flag, value])
+        assert line == f"Error: No such option '{flag}'."
+        assert not out.exists()
 
     def test_detect_reports_malformed_csv_line(self, workdir, tmp_path):
         imu = tmp_path / "imu.csv"
@@ -494,6 +506,27 @@ class TestInsRun:
                                       "--adaptive", "--out", str(tmp_path / "t.csv")])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("flags, message", [
+        ("--adaptive --gamma 3.4e5 --model MODEL --gamma-walk 3.4e5 --gamma-run 6.9e6",
+         "--gamma: not used with --adaptive"),
+        ("--gamma 3.4e5 --model MODEL", "--model: not used without --adaptive"),
+        ("--gamma 3.4e5 --gamma-walk 3.4e5", "--gamma-walk: not used without --adaptive"),
+        ("--gamma 3.4e5 --gamma-run 6.9e6", "--gamma-run: not used without --adaptive"),
+        ("--gamma-walk 3.4e5 --gamma-run 6.9e6",
+         "--gamma-walk, --gamma-run: not used without --adaptive"),
+        ("--adaptive --gamma-walk 3.4e5 --gamma-run 6.9e6",
+         "--adaptive needs --model, --gamma-walk and --gamma-run"),
+        ("", "give --gamma, or use --adaptive"),
+    ], ids=["adaptive-gamma", "fixed-model", "fixed-gamma-walk", "fixed-gamma-run",
+            "gammas-without-adaptive", "adaptive-without-model", "no-threshold"])
+    def test_every_threshold_flag_given_is_used(self, workdir, tmp_path, flags, message):
+        out = tmp_path / "traj.csv"
+        flags = flags.replace("MODEL", str(workdir / "model.json")).split()
+        line = usage_error(["ins", "run", "--imu", str(workdir / "mixed.csv"), *flags,
+                            "--out", str(out)])
+        assert line == f"Error: {message}"
+        assert not out.exists()
+
     def test_adaptive_rejects_multiclass_model(self, workdir, tmp_path):
         rng = np.random.default_rng(4)
         x = np.vstack([rng.normal(c, 0.3, (10, 30)) for c in (-1.0, 0.0, 1.0)])
@@ -530,8 +563,6 @@ class TestInsRun:
         ("window = 5.5", "window = 5.5: not a whole number"),
         ("init_att_std = 1e200", "init_att_std = 1e+200 is too large: its square overflows"),
         ("sigma_accel = 1e200", "sigma_accel = 1e+200 is too large: its square overflows"),
-        ("gamma = nan", "gamma must be positive and finite"),
-        ("gamma = inf", "gamma must be positive and finite"),
         ("sigma_a = nan", "sigma_a must be positive and finite"),
         ("gravity = nan", "gravity must be positive and finite"),
         ("sigma_zupt = nan", "sigma_zupt must be positive and finite"),
@@ -648,12 +679,8 @@ class TestEvalTrial:
         rerun_identical(self.args(workdir, report), [report])
 
 
-# ``zv detect``'s options named like config keys
-DETECT_KEYS = {p.name for p in main.commands["zv"].commands["detect"].params} & set(zio.CONFIG_KEYS)
-
-
-def detect_settings(workdir, args):
-    """The (DetectorParams, EkfConfig) that ``zv detect`` ran with, or its one-line error."""
+def detect_settings(workdir, config):
+    """The (DetectorParams, EkfConfig) that ``zv detect --config`` built, or its one-line error."""
     built, real = [], cli._settings
 
     def recording(values):
@@ -662,44 +689,42 @@ def detect_settings(workdir, args):
 
     with mock.patch.object(cli, "_settings", recording):
         result = CliRunner().invoke(main, ["zv", "detect", "--imu", str(workdir / "walk.csv"),
-                                           "--out", str(workdir / "detect.csv"), *args])
+                                           "--config", str(config),
+                                           "--out", str(workdir / "detect.csv")])
     if result.exit_code == 0:
-        return built[-1]
+        (built_once,) = built
+        return built_once
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
     (line,) = result.output.strip().splitlines()
     return line
 
 
-def fields_of(settings):
-    return [{f.name: np.asarray(getattr(obj, f.name)).tolist() for f in dataclasses.fields(obj)}
-            for obj in settings]
-
-
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), row=st.sampled_from(zio.CONFIG_TABLE))
-def test_a_config_key_and_its_flag_set_the_field_of_that_name(workdir, data, row):
+def test_a_config_key_sets_the_field_of_that_name(workdir, data, row):
     key, target, cast = row
     # a window longer than the 2,500-sample log fails in the detector, not in the settings
     value = data.draw(st.integers(-3, 40) | st.sampled_from([math.nan, math.inf, 2.5])
                       if key == "window" else st.floats() | st.integers(-3, 40))
     cfg = workdir / "hypothesis_cfg.txt"
     cfg.write_text(f"{key} = {value!r}\n")
-    from_config = detect_settings(workdir, ["--config", str(cfg)])
-    # a window flag takes whole numbers only
-    has_flag = key in DETECT_KEYS and (key != "window" or float(value).is_integer())
-    from_flag = has_flag and detect_settings(workdir, [f"--{key.replace('_', '-')}",
-                                                       str(int(value) if key == "window"
-                                                           else value)])
+    from_config = detect_settings(workdir, cfg)
     if isinstance(from_config, str):
         assert from_config.startswith(f"Error: {cfg}: ") and key in from_config
-        if has_flag:
-            assert from_flag == from_config.replace(f"{cfg}: ", "", 1)
         return
     detector, ekf_cfg = from_config
     assert np.array_equal(getattr(detector if target is DetectorParams else ekf_cfg, key),
                           cast(value))
-    if has_flag:
-        assert fields_of(from_flag) == fields_of(from_config)
+
+
+def test_no_option_is_named_like_a_config_key():
+    # a setting has one source, the config file
+    for group in main.commands.values():
+        for command in group.commands.values():
+            assert not {p.name for p in command.params} & set(zio.CONFIG_KEYS), command.name
+    for command in ("detect", "optimize"):
+        help_text = CliRunner().invoke(main, ["zv", command, "--help"]).output
+        assert not {"--window", "--sigma-a", "--sigma-w", "--gravity"} & set(help_text.split())
 
 
 @pytest.mark.parametrize("command, option, library_default", [

@@ -19,7 +19,7 @@ from zvnav.core import (
     quat_to_rotation,
     se3_compose,
 )
-from zvnav.detector import AdaptiveParams, DetectorParams
+from zvnav.detector import AdaptiveParams, DetectorParams, detect
 from zvnav.ekf import EkfConfig, Workspace, propagate
 from zvnav.optimize import FBetaConfig, MocapStream, f_beta
 from zvnav.simulate import gait_preset, simulate
@@ -248,10 +248,11 @@ def load_model_with(key, value, index=None):
 
 
 _TWO_CLASSES = (np.random.default_rng(0).normal(size=(4, 6)), np.array([0, 0, 1, 1]))
+_STANCE = ImuStream(np.arange(10) / 125.0, np.tile([0.0, 0.0, 9.81], (10, 1)), np.zeros((10, 3)))
 
 # every input that must be a positive finite number: (name, a call that passes it the value)
 POSITIVE_INPUTS = [(name, lambda v, cls=cls, name=name: cls(**{name: v})) for cls, names in (
-    (DetectorParams, ("sigma_a", "sigma_w", "gravity", "gamma")),
+    (DetectorParams, ("sigma_a", "sigma_w", "gravity")),
     (AdaptiveParams, ("gamma_walk", "gamma_run")),
     (FBetaConfig, ("beta_sq", "speed_threshold")),
     (EkfConfig, ("sigma_accel", "sigma_gyro", "sigma_zupt",
@@ -260,6 +261,7 @@ POSITIVE_INPUTS = [(name, lambda v, cls=cls, name=name: cls(**{name: v})) for cl
     (name, lambda v, name=name: dataclasses.replace(gait_preset("walk"), **{name: v}))
     for name in ("cadence",)
 ] + [
+    ("gamma", lambda v: detect(_STANCE, DetectorParams(), v)),
     ("kernel_width", lambda v: train(*_TWO_CLASSES, kernel_width=v)),
     ("c_reg", lambda v: train(*_TWO_CLASSES, c_reg=v)),
     ("rate_hz", lambda v: simulate([(gait_preset("walk"), 1.0)], rate_hz=v)),

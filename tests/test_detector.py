@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -94,24 +96,29 @@ class TestShoeStatistic:
         with pytest.raises(ValueError):
             DetectorParams(sigma_a=0.0)
         with pytest.raises(ValueError):
-            DetectorParams(gamma=-1.0)
+            detect(stance_window(50), DetectorParams(), -1.0)
+
+    def test_the_threshold_is_not_a_setting(self):
+        # detect takes gamma as an argument; the settings hold only the statistic's weights
+        assert [f.name for f in dataclasses.fields(DetectorParams)] == [
+            "window", "sigma_a", "sigma_w", "gravity"]
 
 
 class TestDetect:
     def test_stationary_stream_all_true(self):
         s = stance_window(50)
-        assert detect(s, DetectorParams(gamma=1e-6)).all()
+        assert detect(s, DetectorParams(), 1e-6).all()
 
     def test_stream_shorter_than_window(self):
         with pytest.raises(ValueError):
-            detect(stance_window(3), DetectorParams())
+            detect(stance_window(3), DetectorParams(), 1e5)
 
     def test_detection_count_monotone_in_gamma(self):
         stream, _ = simulate([(gait_preset("walk"), 10.0)], NoiseModel(seed=3))
         counts = []
         prev = None
         for gamma in np.logspace(2, 8, 25):
-            flags = detect(stream, DetectorParams(gamma=gamma))
+            flags = detect(stream, DetectorParams(), gamma)
             counts.append(flags.sum())
             if prev is not None:
                 # detection sets are nested, not merely growing in count
@@ -121,14 +128,13 @@ class TestDetect:
 
     def test_trailing_samples_reuse_last_window(self):
         stream, _ = simulate([(gait_preset("walk"), 4.0)], NoiseModel(seed=4))
-        params = DetectorParams(gamma=1e5)
-        flags = detect(stream, params)
+        flags = detect(stream, DetectorParams(), 1e5)
         assert (flags[-4:] == flags[-5]).all()
 
     def test_reference_walk_threshold_accuracy(self):
         # subject-mean walking threshold on a synthetic walk trial
         stream, truth = simulate([(gait_preset("walk"), 60.0)], NoiseModel(seed=7))
-        flags = detect(stream, DetectorParams(gamma=0.96e5))
+        flags = detect(stream, DetectorParams(), 0.96e5)
         assert np.mean(flags == truth.stance) >= 0.95
 
 
@@ -139,20 +145,18 @@ class TestDetectAdaptive:
         params = DetectorParams()
         walk_like = detect_adaptive(stream, np.zeros(len(stream), int), params, ap)
         run_like = detect_adaptive(stream, np.ones(len(stream), int), params, ap)
-        from dataclasses import replace
-        assert np.array_equal(walk_like, detect(stream, replace(params, gamma=1e4)))
-        assert np.array_equal(run_like, detect(stream, replace(params, gamma=1e6)))
+        assert np.array_equal(walk_like, detect(stream, params, 1e4))
+        assert np.array_equal(run_like, detect(stream, params, 1e6))
 
     def test_switching_is_exact_per_sample(self):
         stream, _ = simulate([(gait_preset("run"), 6.0)], NoiseModel(seed=6))
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 2, len(stream))
         ap = AdaptiveParams(gamma_walk=3e5, gamma_run=3e6)
-        from dataclasses import replace
         params = DetectorParams()
         adaptive = detect_adaptive(stream, labels, params, ap)
-        fixed_walk = detect(stream, replace(params, gamma=ap.gamma_walk))
-        fixed_run = detect(stream, replace(params, gamma=ap.gamma_run))
+        fixed_walk = detect(stream, params, ap.gamma_walk)
+        fixed_run = detect(stream, params, ap.gamma_run)
         expected = np.where(labels == 1, fixed_run, fixed_walk)
         assert np.array_equal(adaptive, expected)
 

@@ -3,7 +3,6 @@ import math
 import multiprocessing
 import os
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,8 +225,8 @@ class TestRunTrial:
         labels, adaptive = adaptive_zupts(stream, model, det, gammas)
         faster = labels.smoothed == model.classes[1]
         assert faster.any() and not faster.all()
-        fw = detect(stream, replace(det, gamma=gammas.gamma_walk))
-        fr = detect(stream, replace(det, gamma=gammas.gamma_run))
+        fw = detect(stream, det, gammas.gamma_walk)
+        fr = detect(stream, det, gammas.gamma_run)
         assert np.array_equal(adaptive, np.where(faster, fr, fw))
 
     def test_report_structure_and_determinism(self, adaptive_setup):
@@ -326,8 +325,8 @@ class TestParallelRunTrial:
         det, gammas = setup["detector"], setup["gammas"]
         labels, adaptive = adaptive_zupts(stream, setup["model"], det, gammas)
         flags = {
-            "gamma_walk": detect(stream, replace(det, gamma=gammas.gamma_walk)),
-            "gamma_run": detect(stream, replace(det, gamma=gammas.gamma_run)),
+            "gamma_walk": detect(stream, det, gammas.gamma_walk),
+            "gamma_run": detect(stream, det, gammas.gamma_run),
             "gamma_adapt": adaptive,
         }
         return labels, flags
@@ -481,9 +480,9 @@ class TestParallelRunTrial:
                                                         monkeypatch):
         gamma_walk = adaptive_setup["gammas"].gamma_walk
 
-        def late_first_stance(stream, params):
-            flags = detect(stream, params)
-            if params.gamma == gamma_walk:
+        def late_first_stance(stream, params, gamma):
+            flags = detect(stream, params, gamma)
+            if gamma == gamma_walk:
                 flags[stream.t <= stream.t[0] + 1.0] = False
             return flags
 

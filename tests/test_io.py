@@ -323,16 +323,16 @@ class TestConfig:
 
     def test_rejects_repeated_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("gamma = 1e5\nwindow = 7\ngamma = 2e5\n")
+        path.write_text("sigma_a = 0.01\nwindow = 7\nsigma_a = 0.02\n")
         with pytest.raises(ValueError) as info:
             zio.load_config(path)
-        assert str(info.value) == f"{path}, line 3: config key 'gamma' is set again"
+        assert str(info.value) == f"{path}, line 3: config key 'sigma_a' is set again"
 
     def test_accepts_every_documented_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("".join(f"{key} = 1\n" for key in zio.CONFIG_KEYS))
         assert zio.load_config(path) == dict.fromkeys(zio.CONFIG_KEYS, 1.0)
-        assert len(zio.CONFIG_KEYS) == 11
+        assert len(zio.CONFIG_KEYS) == 10
 
     def test_rejects_malformed_lines(self, tmp_path):
         path = tmp_path / "cfg.txt"
