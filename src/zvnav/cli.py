@@ -25,7 +25,7 @@ from . import io as zio
 from .core import read_json_object, require_positive, write_json
 from .detector import DEFAULT_GAMMA_WALK, AdaptiveParams, DetectorParams, detect
 from .ekf import EkfConfig, run_ins
-from .evaluate import (DEFAULT_MARKER_EVERY, adaptive_zupts, check_triggers,
+from .evaluate import (DEFAULT_MARKER_EVERY, adaptive_gamma, check_triggers,
                        marker_layout_from_truth, run_trial)
 from .optimize import (
     GAMMA_GRID_POINTS,
@@ -396,11 +396,9 @@ def ins_run(imu, gamma, adaptive, model_path, gamma_walk, gamma_run, config, out
     stream, detector, ekf_cfg = _configure(imu, config)
 
     if adaptive:
-        _, flags = adaptive_zupts(stream, _load_model(model_path, imu, stream), detector,
+        _, gamma = adaptive_gamma(stream, _load_model(model_path, imu, stream),
                                   AdaptiveParams(gamma_walk, gamma_run))
-    else:
-        flags = detect(stream, detector, gamma)
-
+    flags = detect(stream, detector, gamma)
     traj = run_ins(stream, flags, ekf_cfg)
     zio.write_trajectory_csv(out, traj)
     end = traj.pos[-1]
@@ -417,14 +415,17 @@ def eval_group():
 
 
 def _read_gammas(path) -> AdaptiveParams:
-    """The ``--gammas`` JSON; bad JSON or a missing or bad value fails naming the file."""
+    """The ``--gammas`` JSON; bad JSON or a missing or bad value fails naming the file.
+    A value that is not a JSON number, a bool or a string included, is a bad value."""
     def parse(data):
         values = {}
         for key in ("gamma_walk", "gamma_run"):
+            value = data[key]
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
             try:
-                values[key] = float(data[key])
-            except (TypeError, ValueError):
-                values[key] = math.nan  # not a number: AdaptiveParams names the key
+                values[key] = float(value) if number else math.nan  # AdaptiveParams names the key
+            except OverflowError:  # an integer beyond the float range
+                values[key] = math.inf
         return AdaptiveParams(**values)
     return read_json_object(path, "a thresholds file", parse)
 

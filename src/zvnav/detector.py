@@ -106,24 +106,24 @@ def per_sample_statistics(stream: ImuStream, params: DetectorParams) -> np.ndarr
     return stats[idx]
 
 
-def detect(stream: ImuStream, params: DetectorParams, gamma: float) -> np.ndarray:
-    """Stationary flag per sample: statistic below ``gamma``, a positive finite threshold."""
+def detect(stream: ImuStream, params: DetectorParams, gamma: float | np.ndarray) -> np.ndarray:
+    """Stationary flag per sample: statistic below ``gamma``, one positive finite
+    threshold or one per sample."""
+    if np.ndim(gamma) and np.shape(gamma) != (len(stream),):
+        raise ValueError(f"gamma of shape {np.shape(gamma)} is not one threshold or one per sample")
     require_positive({"gamma": gamma})
     return per_sample_statistics(stream, params) < gamma
 
 
 def detect_adaptive(stream: ImuStream, motion, params: DetectorParams,
                     adaptive: AdaptiveParams) -> np.ndarray:
-    """Detection with the threshold switched per sample by motion label.
+    """:func:`detect` at ``gamma_walk`` where ``motion`` is 0 and ``gamma_run`` where it is 1.
 
-    ``motion`` holds one smoothed binary label per sample: 0 selects
-    ``gamma_walk``, 1 selects ``gamma_run``. With a constant label the result
-    is identical to :func:`detect` at that threshold.
-    """
+    Nothing in the package calls it: ``evaluate.adaptive_gamma`` gives ``detect``
+    the switched threshold. It stays while the benchmark's span table names it."""
     motion = np.asarray(motion)
     if motion.shape != (len(stream),):
         raise ValueError("motion must hold one label per stream sample")
     if not np.all((motion == 0) | (motion == 1)):
         raise ValueError("motion labels must be 0 or 1")
-    gamma = np.where(motion == 1, adaptive.gamma_run, adaptive.gamma_walk)
-    return per_sample_statistics(stream, params) < gamma
+    return detect(stream, params, np.where(motion == 1, adaptive.gamma_run, adaptive.gamma_walk))

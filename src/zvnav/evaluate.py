@@ -12,9 +12,9 @@ That is not the marker farthest from the start: on a layout with a return
 leg it is the last one. Symmetric step-length errors cannot cancel there the
 way they do at loop closure.
 
-``adaptive_zupts`` is the paper's detector, its threshold switched by the
-classified motion. ``score_flags`` scores the INS over any named ZUPT flag
-sets; ``run_trial`` scores the two fixed thresholds and the adaptive one.
+``adaptive_gamma`` is the paper's detector threshold, switched per sample by
+the classified motion. ``score_flags`` scores the INS over any named ZUPT flag
+sets; ``run_trial`` scores the two fixed thresholds and the switched one.
 Every pass stops just after the last trigger. A set whose flags match the
 last set's up to some sample shares the last set's states up to there, so
 the scorer steps that stretch once, then each set from where it leaves; one
@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ImuStream
-from .detector import AdaptiveParams, DetectorParams, detect, detect_adaptive
+from .detector import AdaptiveParams, DetectorParams, per_sample_statistics
 from .ekf import EkfConfig, Trajectory, leveling_samples, run_ins
 from .simulate import GaitTruth
 from .survey import MarkerMap
@@ -163,7 +163,9 @@ def check_triggers(stream: ImuStream, triggers: TriggerLog, marker_map: MarkerMa
     """Fail unless every trigger names a surveyed marker at a time inside the stream.
 
     Also fails when the triggers cannot align a trajectory or never pass the
-    farthest marker: the checks every ``score_flags`` pass would fail.
+    farthest marker: the checks every ``score_flags`` pass would fail. Each
+    public entry point runs it once: ``cli.eval_trial`` to name the triggers
+    file, ``run_trial`` before classifying, ``score_flags`` before forking.
     """
     if len(triggers) < 2:
         raise ValueError("need at least two trigger events to align")
@@ -209,15 +211,16 @@ def _scored(steps, triggers, marker_map) -> tuple:
     return result, exc, caught + messages
 
 
-def adaptive_zupts(stream: ImuStream, model: SvmModel, detector: DetectorParams,
+def adaptive_gamma(stream: ImuStream, model: SvmModel,
                    gammas: AdaptiveParams) -> tuple[LabelStream, np.ndarray]:
-    """Motion labels, and stationary flags thresholded at ``gammas.gamma_run`` where
-    the binary model's smoothed label is its second (faster) class, else at ``gamma_walk``."""
+    """Motion labels, and each sample's detector threshold: ``gammas.gamma_run`` where
+    the binary model's smoothed label is its second (faster) class, else ``gamma_walk``."""
     if len(model.classes) != 2:
         raise ValueError("adaptive thresholding needs a binary (two-class) model; "
                          f"this one has {len(model.classes)} classes")
     labels = classify_stream(model, stream)
-    return labels, detect_adaptive(stream, labels.smoothed == model.classes[1], detector, gammas)
+    faster = labels.smoothed == model.classes[1]
+    return labels, np.where(faster, gammas.gamma_run, gammas.gamma_walk)
 
 
 def score_flags(stream: ImuStream, flags_by_name: dict, ekf_cfg: EkfConfig,
@@ -322,7 +325,7 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
               detector: DetectorParams, ekf_cfg: EkfConfig,
               triggers: TriggerLog, marker_map: MarkerMap,
               class_truth=None) -> TrialReport:
-    """Classify, detect with three thresholding methods, and ``score_flags`` them.
+    """Classify, threshold one detector statistic three ways, and ``score_flags`` them.
 
     ``class_truth`` (per-sample class ids, optional) is compared against the
     smoothed classifier output for the reported SVM accuracy. The model must
@@ -335,11 +338,12 @@ def run_trial(stream: ImuStream, model: SvmModel, gammas: AdaptiveParams,
             raise ValueError(f"class_truth holds {class_truth.size} labels for "
                              f"{len(stream)} samples; it must hold one per sample")
     check_triggers(stream, triggers, marker_map)
-    labels, adaptive_flags = adaptive_zupts(stream, model, detector, gammas)
+    labels, gamma_adapt = adaptive_gamma(stream, model, gammas)
+    stats = per_sample_statistics(stream, detector)
     report = score_flags(stream, {
-        METHOD_WALK: detect(stream, detector, gammas.gamma_walk),
-        METHOD_RUN: detect(stream, detector, gammas.gamma_run),
-        METHOD_ADAPT: adaptive_flags,
+        METHOD_WALK: stats < gammas.gamma_walk,
+        METHOD_RUN: stats < gammas.gamma_run,
+        METHOD_ADAPT: stats < gamma_adapt,
     }, ekf_cfg, triggers, marker_map)
     svm_accuracy = None if class_truth is None else float(np.mean(labels.smoothed == class_truth))
     return replace(report, svm_accuracy=svm_accuracy)

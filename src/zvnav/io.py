@@ -51,26 +51,36 @@ def _write_csv(path, fmt: str, *columns) -> None:
 
 
 def _read_csv(path, fmt: str) -> list[np.ndarray]:
-    """A format's columns; a malformed line fails naming its 1-based number."""
+    """A format's columns; a malformed line, or a value an integer or bool column
+    cannot hold, fails naming its 1-based number."""
     header, widths, ints = CSV_FORMATS[fmt]
     text = Path(path).read_text()
     lines = text.strip().splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}: expected header '{header}'")
-    width = len(header.split(","))
+    names = header.split(",")
+    body_line = 2 + text[:len(text) - len(text.lstrip())].count("\n")
     try:
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-        data = np.array(rows) if rows else np.empty((0, width))
+        data = np.array(rows) if rows else np.empty((0, len(names)))
     except ValueError:
         data = None
-    if data is None or data.shape[1:] != (width,):
-        header_line = 1 + text[:len(text) - len(text.lstrip())].count("\n")
-        raise ValueError(_malformed_line(path, lines[1:], width, header_line + 1))
+    if data is None or data.shape[1:] != (len(names),):
+        raise ValueError(_malformed_line(path, lines[1:], len(names), body_line))
     columns, col = [], 0
     for w in widths:
         columns.append(data[:, col] if w == 1 else data[:, col:col + w])
         col += w
-    columns.extend(data[:, col + k].astype(dtype) for k, dtype in enumerate(ints))
+    for k, dtype in enumerate(ints, start=col):
+        for lineno, value in enumerate(data[:, k].tolist(), start=body_line):
+            try:
+                if dtype is bool and value not in (0, 1):
+                    raise ValueError("not 0 or 1")
+                if not -2**63 <= _whole_number(value) < 2**63:
+                    raise ValueError("out of the int64 range")
+            except (ValueError, OverflowError) as exc:  # int() of infinity
+                raise ValueError(f"{path}, line {lineno}: {names[k]} = {value!r}: {exc}") from None
+        columns.append(data[:, k].astype(dtype))
     return columns
 
 

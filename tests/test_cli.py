@@ -19,8 +19,8 @@ from zvnav import cli
 from zvnav import io as zio
 from zvnav.cli import _Group, main
 from zvnav.core import ImuStream
-from zvnav.detector import AdaptiveParams, DetectorParams
-from zvnav.evaluate import adaptive_zupts, marker_layout_from_truth
+from zvnav.detector import AdaptiveParams, DetectorParams, detect
+from zvnav.evaluate import adaptive_gamma, marker_layout_from_truth
 from zvnav.optimize import default_gamma_grid
 from zvnav.simulate import DEFAULT_DURATION, NoiseModel, simulate
 from zvnav.survey import tag_template
@@ -545,14 +545,15 @@ class TestInsRun:
                  "--out", str(out)])
         assert zio.read_trajectory_csv(out).pos.shape[0] == 6000
 
-    def test_adaptive_zupts_are_those_of_adaptive_zupts(self, workdir, tmp_path):
+    def test_adaptive_zupts_are_those_of_adaptive_gamma(self, workdir, tmp_path):
         out = tmp_path / "traj.csv"
         run_cli(["ins", "run", "--imu", str(workdir / "mixed.csv"), "--adaptive",
                  "--model", str(workdir / "model.json"),
                  "--gamma-walk", "340000", "--gamma-run", "6900000", "--out", str(out)])
-        labels, flags = adaptive_zupts(zio.read_imu_csv(workdir / "mixed.csv"),
-                                       load_model(workdir / "model.json"), DetectorParams(),
-                                       AdaptiveParams(340000.0, 6900000.0))
+        stream = zio.read_imu_csv(workdir / "mixed.csv")
+        _, gamma = adaptive_gamma(stream, load_model(workdir / "model.json"),
+                                  AdaptiveParams(340000.0, 6900000.0))
+        flags = detect(stream, DetectorParams(), gamma)
         assert 0 < flags.sum() < flags.size
         assert np.array_equal(zio.read_trajectory_csv(out).zupt, flags)
 
@@ -630,6 +631,19 @@ class TestEvalTrial:
         args[args.index("--gammas") + 1] = str(gammas)
         line = cli_error(args)
         assert line == f"Error: {gammas}: gamma_run must be positive and finite"
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"gamma_walk": true, "gamma_run": 6.9e6}', "gamma_walk"),
+        ('{"gamma_walk": 3.4e5, "gamma_run": "5e6"}', "gamma_run"),
+        ('{"gamma_walk": 3.4e5, "gamma_run": [5e6]}', "gamma_run"),
+        ('{"gamma_walk": 3.4e5, "gamma_run": 1' + "0" * 400 + "}", "gamma_run"),
+    ], ids=["bool", "string", "list", "integer-beyond-float"])
+    def test_gammas_value_not_a_json_number(self, workdir, tmp_path, text, key):
+        gammas = tmp_path / "gammas.json"
+        gammas.write_text(text)
+        args = self.args(workdir, tmp_path / "report.json")
+        args[args.index("--gammas") + 1] = str(gammas)
+        assert cli_error(args) == f"Error: {gammas}: {key} must be positive and finite"
 
     @pytest.mark.parametrize("text, message", [
         ('{"gamma_walk": 3.4e5,', "not valid JSON (Expecting property name"),

@@ -131,6 +131,20 @@ class TestDetect:
         flags = detect(stream, DetectorParams(), 1e5)
         assert (flags[-4:] == flags[-5]).all()
 
+    @pytest.mark.parametrize("shape", [(49,), (51,), (50, 1), (1, 50)])
+    def test_rejects_a_threshold_of_another_shape(self, shape):
+        with pytest.raises(ValueError) as info:
+            detect(stance_window(50), DetectorParams(), np.full(shape, 1e5))
+        assert str(info.value) == f"gamma of shape {shape} is not one threshold or one per sample"
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+    def test_rejects_a_per_sample_threshold_not_positive_and_finite(self, bad):
+        gamma = np.full(50, 1e5)
+        gamma[17] = bad
+        with pytest.raises(ValueError) as info:
+            detect(stance_window(50), DetectorParams(), gamma)
+        assert str(info.value) == "gamma must be positive and finite"
+
     def test_reference_walk_threshold_accuracy(self):
         # subject-mean walking threshold on a synthetic walk trial
         stream, truth = simulate([(gait_preset("walk"), 60.0)], NoiseModel(seed=7))
@@ -184,3 +198,17 @@ class TestPerSampleStatistics:
         ps = per_sample_statistics(stream, params)
         assert ps.shape == (len(stream),)
         assert (ps[-4:] == stats[-1]).all()
+
+
+WALK, _ = simulate([(gait_preset("walk"), 2.0)], NoiseModel(seed=9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponents=arrays(np.float64, len(WALK), elements=st.floats(2.0, 8.0)),
+       exponent=st.floats(2.0, 8.0))
+def test_a_per_sample_threshold_is_compared_sample_by_sample(exponents, exponent):
+    params = DetectorParams()
+    gamma = 10.0 ** exponents
+    assert np.array_equal(detect(WALK, params, gamma), per_sample_statistics(WALK, params) < gamma)
+    constant = np.full(len(WALK), 10.0 ** exponent)
+    assert np.array_equal(detect(WALK, params, constant), detect(WALK, params, 10.0 ** exponent))

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import zvnav.detector
+import zvnav.evaluate
+import zvnav.svm
 from zvnav.core import ImuStream
 from zvnav.detector import detect
 from zvnav.evaluate import (
     TrialReport,
     TriggerLog,
-    adaptive_zupts,
+    adaptive_gamma,
     align_trajectory,
     furthest_point_error,
     marker_layout_from_truth,
@@ -222,7 +225,8 @@ class TestRunTrial:
         model = adaptive_setup["model"]
         gammas = adaptive_setup["gammas"]
         det = adaptive_setup["detector"]
-        labels, adaptive = adaptive_zupts(stream, model, det, gammas)
+        labels, gamma = adaptive_gamma(stream, model, gammas)
+        adaptive = detect(stream, det, gamma)
         faster = labels.smoothed == model.classes[1]
         assert faster.any() and not faster.all()
         fw = detect(stream, det, gammas.gamma_walk)
@@ -245,6 +249,26 @@ class TestRunTrial:
         assert a.svm_accuracy > 0.9
         d = a.to_dict()
         assert set(d) == {"furthest_point_error_m", "per_marker_error_m", "svm_accuracy"}
+
+    def test_one_statistic_and_one_classification_per_trial(self, adaptive_setup, monkeypatch):
+        stream, truth = simulate(mixed_segments(), NoiseModel(seed=51))
+        marker_map, triggers = marker_layout_from_truth(truth, every=10)
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # every name a call could go through, in whichever module binds it
+        for module in (zvnav.detector, zvnav.svm, zvnav.evaluate):
+            for name in ("per_sample_statistics", "classify_stream"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        run_trial(stream, adaptive_setup["model"], adaptive_setup["gammas"],
+                  adaptive_setup["detector"], adaptive_setup["ekf"], triggers, marker_map)
+        assert sorted(calls) == ["classify_stream", "per_sample_statistics"]
 
     def test_needs_binary_model(self, six_class_model, adaptive_setup):
         stream, truth = simulate(mixed_segments(), NoiseModel(seed=52))
@@ -323,7 +347,8 @@ class TestParallelRunTrial:
     def flags(trial, setup):
         stream = trial[0]
         det, gammas = setup["detector"], setup["gammas"]
-        labels, adaptive = adaptive_zupts(stream, setup["model"], det, gammas)
+        labels, gamma = adaptive_gamma(stream, setup["model"], gammas)
+        adaptive = detect(stream, det, gamma)
         flags = {
             "gamma_walk": detect(stream, det, gammas.gamma_walk),
             "gamma_run": detect(stream, det, gammas.gamma_run),
@@ -478,15 +503,12 @@ class TestParallelRunTrial:
 
     def test_warning_of_a_fixed_pass_reaches_the_caller(self, trial, adaptive_setup,
                                                         monkeypatch):
-        gamma_walk = adaptive_setup["gammas"].gamma_walk
+        def late_first_stance(stream, flags_by_name, *args):
+            walk = flags_by_name["gamma_walk"].copy()
+            walk[stream.t <= stream.t[0] + 1.0] = False
+            return score_flags(stream, {**flags_by_name, "gamma_walk": walk}, *args)
 
-        def late_first_stance(stream, params, gamma):
-            flags = detect(stream, params, gamma)
-            if gamma == gamma_walk:
-                flags[stream.t <= stream.t[0] + 1.0] = False
-            return flags
-
-        monkeypatch.setattr("zvnav.evaluate.detect", late_first_stance)
+        monkeypatch.setattr("zvnav.evaluate.score_flags", late_first_stance)
         with pytest.warns(UserWarning, match="no stationary samples in the first second") as rec:
             self.run(trial, adaptive_setup)
         assert sum("first second" in str(w.message) for w in rec) == 1

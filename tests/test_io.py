@@ -204,6 +204,24 @@ class TestOtherCsv:
             reader(path)
         assert str(err.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("reader, fmt, row, message", [
+        (zio.read_trigger_csv, "trigger", "1.0,1.7", "marker_id = 1.7: not a whole number"),
+        (zio.read_trigger_csv, "trigger", "1.0,nan",
+         "marker_id = nan: cannot convert float NaN to integer"),
+        (zio.read_trigger_csv, "trigger", "1.0,1e30", "marker_id = 1e+30: out of the int64 range"),
+        (zio.read_truth_csv, "truth", "1.0,0,0,0,0,0,0,0.5,0", "stance = 0.5: not 0 or 1"),
+        (zio.read_truth_csv, "truth", "1.0,0,0,0,0,0,0,1,2.5", "class = 2.5: not a whole number"),
+        (zio.read_trajectory_csv, "trajectory", "1.0,0,0,0,0,0,0,1,0,0,0,2", "zupt = 2.0: not 0 or 1"),
+    ])
+    def test_an_integer_or_flag_column_holds_its_values_exactly(self, tmp_path, reader, fmt, row,
+                                                               message):
+        header = zio.CSV_FORMATS[fmt][0]
+        path = tmp_path / "log.csv"
+        path.write_text(f"\n{header}\n{','.join(['0'] * len(header.split(',')))}\n{row}\n")
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}, line 4: {message}"
+
     @pytest.mark.parametrize("reader, fmt", [
         (zio.read_imu_csv, "imu"), (zio.read_mocap_csv, "mocap"), (zio.read_trigger_csv, "trigger"),
     ])
